@@ -16,11 +16,9 @@ import (
 	"testing"
 
 	"xhybrid/internal/atpg"
-	"xhybrid/internal/bist"
 	"xhybrid/internal/compactor"
 	"xhybrid/internal/core"
 	"xhybrid/internal/correlation"
-	"xhybrid/internal/cubes"
 	"xhybrid/internal/fault"
 	"xhybrid/internal/flow"
 	"xhybrid/internal/gf2"
@@ -509,48 +507,6 @@ func BenchmarkCompactor(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tree.CompactResponse(resp); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCubeGeneration measures cube search plus bit stripping.
-func BenchmarkCubeGeneration(b *testing.B) {
-	c, err := netlist.Generate(netlist.GenConfig{
-		Name: "cubebench", ScanCells: 64, PIs: 6, Seed: 4,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	faults := fault.Sample(fault.AllFaults(c), 8, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cubes.Generate(c, faults, cubes.Options{Seed: 7}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBISTSession measures a full self-test session (golden run).
-func BenchmarkBISTSession(b *testing.B) {
-	ckt, err := netlist.Generate(netlist.GenConfig{
-		Name: "bistbench", ScanCells: 128, PIs: 6, XClusters: 4, XFanout: 4, Seed: 31,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	geom := scan.MustGeometry(16, 8)
-	cfg := bist.Config{
-		PRPGSize: 24, PRPGSeed: 7, Patterns: 48,
-		Cancel: xcancel.Config{MISR: misr.MustStandard(16), Q: 3},
-	}
-	ct, err := bist.New(ckt, geom, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ct.Run(nil); err != nil {
 			b.Fatal(err)
 		}
 	}

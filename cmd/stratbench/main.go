@@ -11,11 +11,6 @@
 // count must equal the plan's accounted ResidualX exactly. Unverified lanes
 // are reported but excluded from the frontier.
 //
-// Alongside the standard mask+cancel accounting, each lane reports what the
-// same plan would cost under the weight-3 X-code compactor architecture
-// (internal/xcode): the corrupted-channel residual and its control bits —
-// the objective the xcode-hybrid strategy optimizes for.
-//
 // Usage:
 //
 //	stratbench [-workloads ckt-b8,flow-small,...] [-strategies all]
@@ -42,7 +37,6 @@ import (
 	"xhybrid/internal/tester"
 	"xhybrid/internal/workload"
 	"xhybrid/internal/xcancel"
-	"xhybrid/internal/xcode"
 	"xhybrid/internal/xmap"
 )
 
@@ -75,15 +69,10 @@ type result struct {
 	CancelBits int     `json:"cancelBits"`
 	TotalBits  int     `json:"totalBits"`
 	WallMs     float64 `json:"wallMs"`
-	// XCodeChannels / XCodeResidual / XCodeTotalBits price the same plan
-	// under the weight-3 X-code compactor: corrupted channel captures
-	// instead of raw X's.
-	XCodeChannels  int `json:"xcodeChannels"`
-	XCodeResidual  int `json:"xcodeResidual"`
-	XCodeTotalBits int `json:"xcodeTotalBits"`
-	// Verified: the replayed plan masked no observable capture, removed
-	// exactly the accounted X's, and stayed within the planned halt budget
-	// (plus the exact partitioned-canceler check on narrow geometries).
+	// Verified: the replay verdict held — the replayed plan masked no
+	// observable capture, removed exactly the accounted X's, and stayed
+	// within the accounted residual and the planned halt budget (plus the
+	// exact partitioned-canceler check on narrow geometries).
 	Verified bool `json:"verified"`
 	// ExactCanceler reports whether the chains<=64 exact check ran.
 	ExactCanceler bool `json:"exactCanceler"`
@@ -259,17 +248,13 @@ func prepare(name string) (*input, error) {
 		mSize: min(32, geom.Chains), q: 7}, nil
 }
 
-// race runs every lane on one workload, verifies each plan, prices it
-// under both architectures, and marks the verified Pareto frontier.
+// race runs every lane on one workload, verifies each plan, and marks the
+// verified Pareto frontier.
 func race(in *input, lanes []lane, workers int) workloadReport {
 	rep := workloadReport{
 		Workload: in.name,
 		Cells:    in.m.Cells(), Chains: in.geom.Chains, Patterns: in.m.Patterns(),
 		TotalX: in.m.TotalX(), MISRSize: in.mSize, Q: in.q,
-	}
-	code, err := xcode.Build(in.geom.Chains)
-	if err != nil {
-		die(err)
 	}
 	for _, ln := range lanes {
 		r := result{Strategy: ln.name}
@@ -295,32 +280,20 @@ func race(in *input, lanes []lane, workers int) workloadReport {
 		r.CancelBits = res.CancelBits
 		r.TotalBits = res.TotalBits
 
-		r.XCodeChannels = code.Channels
-		r.XCodeResidual = planXCodeResidual(code, in, res)
-		r.XCodeTotalBits = res.MaskBits + xcancel.ControlBits(r.XCodeResidual, in.mSize, in.q)
-
 		r.Verified, r.ExactCanceler, r.Error = verify(in, res)
 		rep.Results = append(rep.Results, r)
-		fmt.Fprintf(os.Stderr, "stratbench: %s/%s: %d bits (xcode %d) in %.0f ms, verified=%t\n",
-			in.name, ln.name, r.TotalBits, r.XCodeTotalBits, r.WallMs, r.Verified)
+		fmt.Fprintf(os.Stderr, "stratbench: %s/%s: %d bits in %.0f ms, verified=%t\n",
+			in.name, ln.name, r.TotalBits, r.WallMs, r.Verified)
 	}
 	markFrontier(rep.Results)
 	return rep
 }
 
-func planXCodeResidual(code *xcode.Code, in *input, res *core.Result) int {
-	total := 0
-	for _, part := range res.Partitions {
-		total += xcode.Residual(code, in.m, in.geom, part.Patterns)
-	}
-	return total
-}
-
 // verify replays the plan through the hardware models. All geometries get
 // the full program replay (mask stage → compactor → canceling MISR, the
-// pipeline's stage-6 check); geometries narrow enough for a one-input-per-
-// chain MISR additionally run the partitioned canceler and demand its
-// observed X count equal the accounted ResidualX exactly.
+// pipeline's stage-6 check) and its verdict; geometries narrow enough for a
+// one-input-per-chain MISR additionally run the partitioned canceler and
+// demand its observed X count equal the accounted ResidualX exactly.
 func verify(in *input, res *core.Result) (verified, exact bool, errMsg string) {
 	prog, err := flow.Assemble(res, in.geom,
 		xcancel.Config{MISR: misr.MustStandard(in.mSize), Q: in.q},
@@ -332,16 +305,8 @@ func verify(in *input, res *core.Result) (verified, exact bool, errMsg string) {
 	if err != nil {
 		return false, false, "replay: " + err.Error()
 	}
-	planned := xcancel.Halts(res.ResidualX, in.mSize, in.q)
-	switch {
-	case vr.ObservableMasked != 0:
-		return false, false, fmt.Sprintf("replay masked %d observable captures", vr.ObservableMasked)
-	case vr.MaskedX != res.MaskedX:
-		return false, false, fmt.Sprintf("replay masked %d X's, plan accounts %d", vr.MaskedX, res.MaskedX)
-	case vr.ResidualX > res.ResidualX:
-		return false, false, fmt.Sprintf("replay residual %d exceeds accounted %d", vr.ResidualX, res.ResidualX)
-	case vr.Halts > planned:
-		return false, false, fmt.Sprintf("replay ran %d halts, schedule planned %d", vr.Halts, planned)
+	if vr.Violation != nil {
+		return false, false, vr.Violation.Error()
 	}
 	if in.geom.Chains > 64 {
 		return true, false, ""

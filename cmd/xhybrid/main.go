@@ -243,7 +243,9 @@ func verify(cells, patterns, m, q int, seed int64, workers int, rec *xhybrid.Sta
 	}
 	fmt.Printf("program: %d partitions, %d mask loads, scheduled %d cycles (normalized %.3f)\n",
 		len(prog.Partitions), prog.Schedule.MaskLoads, prog.Schedule.TotalCycles, prog.Schedule.Normalized())
+	endReplay := rec.Span("flow.replay")
 	rep, err := flow.VerifyResponses(prog, set)
+	endReplay()
 	if err != nil {
 		die(err)
 	}
@@ -251,10 +253,10 @@ func verify(cells, patterns, m, q int, seed int64, workers int, rec *xhybrid.Sta
 		rep.MaskedX, rep.ObservableMasked, rep.ResidualX)
 	fmt.Printf("canceling: %d halts, %d X-free signatures (%d deficits), %d control bits, time %.3f\n",
 		rep.Halts, rep.Signatures, rep.Deficits, rep.ControlBits, rep.NormalizedTime)
-	if rep.ObservableMasked == 0 {
+	if rep.Violation == nil {
 		fmt.Println("PASS: no observable capture was masked (fault coverage preserved)")
 	} else {
-		fmt.Println("FAIL: observable captures masked")
+		fmt.Println("FAIL:", rep.Violation)
 		// Through the cleanup path: a failing verify run must still flush
 		// its profiles and stats.
 		exit(1)

@@ -81,15 +81,6 @@ func (l *LFSR) NextBit() int {
 	return int(l.state & 1)
 }
 
-// NextUint64 returns 64 fresh pseudo-random bits.
-func (l *LFSR) NextUint64() uint64 {
-	var w uint64
-	for i := 0; i < 64; i++ {
-		w |= uint64(l.NextBit()) << uint(i)
-	}
-	return w
-}
-
 // Generator produces pseudo-random scan-test stimuli.
 type Generator struct {
 	lfsr *LFSR

@@ -58,14 +58,6 @@ func TestBitBalance(t *testing.T) {
 	}
 }
 
-func TestNextUint64(t *testing.T) {
-	l := MustNewLFSR(32, 7)
-	a, b := l.NextUint64(), l.NextUint64()
-	if a == b {
-		t.Fatal("consecutive words identical")
-	}
-}
-
 func TestGeneratorDeterminism(t *testing.T) {
 	a := NewGenerator(5).Patterns(4, 16)
 	b := NewGenerator(5).Patterns(4, 16)

@@ -150,33 +150,6 @@ func BenchmarkRunGreedyWorkers8(b *testing.B) {
 	}
 }
 
-// BenchmarkRunXCodeHybrid gates the X-code hybrid strategy's selection
-// cost: on top of the greedy engine's delta pricing it re-scores its
-// finalists with corrupted-channel residual scans over the X-map, so it is
-// the benchmark most sensitive to xcode.Residual and to the exported
-// Selection surface (Candidates/PriceSplit) the strategy is built on. The
-// benchstat job in ci.yml compares it between the PR head and its merge
-// base and fails on a >20% slowdown.
-func BenchmarkRunXCodeHybrid(b *testing.B) {
-	prof := workload.Scaled(workload.CKTB(), 4)
-	m, err := prof.Generate()
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := Params{
-		Geom:     prof.Geometry(),
-		Cancel:   xcancel.Config{MISR: misr.MustStandard(32), Q: 7},
-		Strategy: StrategyXCodeHybrid,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(m, p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkMaskedXIn(b *testing.B) {
 	prof := workload.Scaled(workload.CKTB(), 4)
 	m, err := prof.Generate()

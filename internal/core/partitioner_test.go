@@ -397,7 +397,7 @@ func (namelessStrategy) Select(sc *Selection) []Split { return nil }
 
 func TestStrategyString(t *testing.T) {
 	if StrategyPaper.Name() != "paper" || StrategyPaperRandom.Name() != "paper-random" ||
-		StrategyGreedyCost.Name() != "greedy-cost" || StrategyXCodeHybrid.Name() != "xcode-hybrid" {
+		StrategyGreedyCost.Name() != "greedy-cost" || StrategyPaperRetry.Name() != "paper-retry" {
 		t.Fatal("strategy names wrong")
 	}
 	// fmt's %s keeps working on the concrete built-ins.

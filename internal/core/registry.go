@@ -5,24 +5,29 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // The strategy registry is the single source of the strategy-name
 // vocabulary. Every surface that turns a wire name into a Strategy — the
 // xhybrid facade, flow specs, the jobs spool, the HTTP API, partbench,
-// stratbench — resolves through LookupStrategy, so a strategy registered
-// here is accepted everywhere and an unknown name fails everywhere with the
-// same enumerating error. (Before the registry the vocabulary lived in four
+// stratbench — resolves through LookupStrategy, so every built-in strategy
+// is accepted everywhere and an unknown name fails everywhere with the same
+// enumerating error. (Before the registry the vocabulary lived in four
 // independent string switches, and partbench had already drifted: it spelled
 // greedy-cost where the other surfaces spelled greedy.)
 var (
-	registryMu sync.RWMutex
-	registry   = map[string]Strategy{}
+	registry = map[string]Strategy{
+		StrategyPaper.Name():       StrategyPaper,
+		StrategyPaperRandom.Name(): StrategyPaperRandom,
+		StrategyGreedyCost.Name():  StrategyGreedyCost,
+		StrategyPaperRetry.Name():  StrategyPaperRetry,
+	}
 	// aliases maps accepted alternate spellings onto canonical names.
 	// "greedy" predates the registry as the facade/flow/jobs wire spelling
-	// of greedy-cost; old spooled jobs still carry it.
-	aliases = map[string]string{}
+	// of greedy-cost; old spooled jobs and client scripts still carry it.
+	// Aliases never appear as Strategy.Name(): checkpoints, spool records
+	// and reports always carry the canonical spelling.
+	aliases = map[string]string{"greedy": "greedy-cost"}
 )
 
 // ErrUnknownStrategy reports a strategy name no registered strategy or
@@ -30,44 +35,6 @@ var (
 // names so every surface's error (including HTTP 400 bodies) tells the
 // caller what would have been accepted.
 var ErrUnknownStrategy = errors.New("unknown strategy")
-
-// RegisterStrategy adds s to the registry under s.Name(). It panics on an
-// empty or duplicate name — registration is an init-time, programmer-error
-// surface.
-func RegisterStrategy(s Strategy) {
-	name := s.Name()
-	if name == "" {
-		panic("core: RegisterStrategy with empty name")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("core: RegisterStrategy duplicate name %q", name))
-	}
-	if _, dup := aliases[name]; dup {
-		panic(fmt.Sprintf("core: RegisterStrategy name %q shadows an alias", name))
-	}
-	registry[name] = s
-}
-
-// RegisterStrategyAlias makes alias resolve to the already-registered
-// canonical name. Aliases are accepted by LookupStrategy but never appear
-// as Strategy.Name(): checkpoints, spool records and reports always carry
-// the canonical spelling.
-func RegisterStrategyAlias(alias, canonical string) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if alias == "" {
-		panic("core: RegisterStrategyAlias with empty alias")
-	}
-	if _, dup := registry[alias]; dup {
-		panic(fmt.Sprintf("core: alias %q shadows a registered strategy", alias))
-	}
-	if _, ok := registry[canonical]; !ok {
-		panic(fmt.Sprintf("core: alias %q targets unregistered strategy %q", alias, canonical))
-	}
-	aliases[alias] = canonical
-}
 
 // LookupStrategy resolves a wire name to a registered Strategy. The empty
 // name selects the default ("paper", matching the zero Params); aliases
@@ -77,12 +44,10 @@ func LookupStrategy(name string) (Strategy, error) {
 	if name == "" {
 		name = "paper"
 	}
-	registryMu.RLock()
 	if canonical, ok := aliases[name]; ok {
 		name = canonical
 	}
 	s, ok := registry[name]
-	registryMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w %q (valid: %s)", ErrUnknownStrategy, name, strings.Join(StrategyVocabulary(), ", "))
 	}
@@ -92,8 +57,6 @@ func LookupStrategy(name string) (Strategy, error) {
 // StrategyNames returns the sorted canonical names of every registered
 // strategy.
 func StrategyNames() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
 	names := make([]string, 0, len(registry))
 	for name := range registry {
 		names = append(names, name)
@@ -105,8 +68,6 @@ func StrategyNames() []string {
 // StrategyAliases returns the accepted alternate spellings mapped to their
 // canonical names.
 func StrategyAliases() map[string]string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
 	out := make(map[string]string, len(aliases))
 	for a, c := range aliases {
 		out[a] = c
@@ -118,26 +79,10 @@ func StrategyAliases() map[string]string {
 // aliases — sorted. This is the exact set LookupStrategy accepts (plus the
 // empty default).
 func StrategyVocabulary() []string {
-	registryMu.RLock()
-	vocab := make([]string, 0, len(registry)+len(aliases))
-	for name := range registry {
-		vocab = append(vocab, name)
-	}
+	vocab := StrategyNames()
 	for a := range aliases {
 		vocab = append(vocab, a)
 	}
-	registryMu.RUnlock()
 	sort.Strings(vocab)
 	return vocab
-}
-
-func init() {
-	RegisterStrategy(StrategyPaper)
-	RegisterStrategy(StrategyPaperRandom)
-	RegisterStrategy(StrategyGreedyCost)
-	RegisterStrategy(StrategyPaperRetry)
-	RegisterStrategy(StrategyXCodeHybrid)
-	// The pre-registry facade, flow and jobs surfaces spelled greedy-cost
-	// "greedy"; spooled jobs and client scripts still do.
-	RegisterStrategyAlias("greedy", "greedy-cost")
 }

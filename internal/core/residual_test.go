@@ -46,7 +46,7 @@ func TestResidualAgreement(t *testing.T) {
 		run  func(m *xmap.XMap, p Params) (*Result, error)
 	}
 	var runners []runner
-	for _, s := range []Strategy{StrategyPaper, StrategyPaperRandom, StrategyGreedyCost, StrategyPaperRetry, StrategyXCodeHybrid} {
+	for _, s := range []Strategy{StrategyPaper, StrategyPaperRandom, StrategyGreedyCost, StrategyPaperRetry} {
 		s := s
 		runners = append(runners, runner{name: s.Name(), run: func(m *xmap.XMap, p Params) (*Result, error) {
 			p.Strategy = s

@@ -3,11 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-
-	"xhybrid/internal/correlation"
-	"xhybrid/internal/gf2"
-	"xhybrid/internal/scan"
-	"xhybrid/internal/xmap"
 )
 
 // Strategy is the pluggable split-selection rule of the partitioner. The
@@ -17,7 +12,7 @@ import (
 // only decides which splits to try, in which order, each round.
 //
 // Implementations must be safe for concurrent use by independent runs: a
-// registered Strategy is a shared singleton and Select receives all per-run
+// built-in Strategy is a shared singleton and Select receives all per-run
 // state through the Selection. Select is called once per round; the engine
 // tries the returned candidates in order and commits the first one the cost
 // function accepts. Returning no candidates ends the run.
@@ -58,11 +53,10 @@ type Split struct {
 }
 
 // Selection is the engine's per-round view handed to Strategy.Select: the
-// live partitions, the running cost totals, and query methods backed by the
-// incremental engine's memoized state (candidate groups, gain-ranked
-// candidate cells, delta-priced split costs). All methods are safe to call
-// from Select; the engine never mutates the Selection while a Select call
-// is in flight.
+// live partitions, the running cost totals and the seeded rng. The
+// built-in strategies read it directly and call into the evaluator's
+// memoized state; the engine never mutates the Selection while a Select
+// call is in flight.
 type Selection struct {
 	e        *evaluator
 	live     []*partState
@@ -76,78 +70,6 @@ type Selection struct {
 // refreshed per round).
 func (sc *Selection) set(live []*partState, masked, maskBits, cost int) {
 	sc.live, sc.masked, sc.maskBits, sc.cost = live, masked, maskBits, cost
-}
-
-// Partitions returns the number of live partitions.
-func (sc *Selection) Partitions() int { return len(sc.live) }
-
-// Size returns partition i's pattern count.
-func (sc *Selection) Size(i int) int { return sc.live[i].size }
-
-// Patterns returns partition i's pattern bitset. The vector is the engine's
-// interned storage: callers must treat it as read-only.
-func (sc *Selection) Patterns(i int) gf2.Vec { return sc.live[i].part }
-
-// Cost returns the current total control-bit cost (masks + canceling); a
-// split commits only if its priced cost is strictly below this.
-func (sc *Selection) Cost() int { return sc.cost }
-
-// MaskBits returns the current mask control-bit total.
-func (sc *Selection) MaskBits() int { return sc.maskBits }
-
-// MaskedX returns the number of X's the current partitions' masks remove.
-func (sc *Selection) MaskedX() int { return sc.masked }
-
-// Rand returns the run's seeded rng. Strategies that draw from it must
-// implement RoundReplayer or resumed runs will diverge.
-func (sc *Selection) Rand() *rand.Rand { return sc.rng }
-
-// XMap returns the run's X-map (read-only).
-func (sc *Selection) XMap() *xmap.XMap { return sc.e.m }
-
-// Geometry returns the run's scan geometry.
-func (sc *Selection) Geometry() scan.Geometry { return sc.e.params.Geom }
-
-// Config returns the run's parameters (a copy).
-func (sc *Selection) Config() Params { return sc.e.params }
-
-// Groups returns partition i's equal-count candidate groups (Algorithm 1's
-// raw material), memoized on the partition's content.
-func (sc *Selection) Groups(i int) []correlation.Group {
-	if sc.live[i].size < 2 {
-		return nil
-	}
-	return sc.live[i].ensureGroups(sc.e)
-}
-
-// Candidates returns up to limit distinct candidate split cells for
-// partition i, gain-ranked (one representative per in-partition X
-// signature, highest total in-partition X count first). The list is
-// memoized on the partition's content with the first limit used, so a
-// strategy should query with a consistent limit for the whole run.
-func (sc *Selection) Candidates(i, limit int) []int {
-	st := sc.live[i]
-	if st.size < 2 {
-		return nil
-	}
-	st.ensureCands(sc.e, limit)
-	if !st.candsReady.Load() {
-		return nil
-	}
-	return st.cands
-}
-
-// PriceSplit returns the total control-bit cost after splitting partition i
-// on cell, computed by the engine's delta pricing (contribution swap over
-// interned side states — cache hits when the candidate was priced before).
-// cell must capture at least one X (any cell from Candidates or Groups
-// does).
-func (sc *Selection) PriceSplit(i, cell int) int {
-	parent := sc.live[i]
-	xs, rs := sc.e.splitStates(parent, cell)
-	sc.e.obsDelta.Inc()
-	return sc.maskBits - sc.e.contrib(parent) + sc.e.contrib(xs) + sc.e.contrib(rs) +
-		sc.e.cancelBits(sc.masked-parent.maskedX+xs.maskedX+rs.maskedX)
 }
 
 // strategy resolves Params.Strategy, defaulting to StrategyPaper so the
@@ -166,8 +88,7 @@ func (p Params) strategyName() string { return p.strategy().Name() }
 // selector call straight into the evaluator's private machinery — they are
 // the same code paths the pre-registry engine dispatched to, so plans and
 // cost accounting are byte-identical to the enum era (locked by the golden
-// fixtures). The X-code hybrid (strategy_xcode.go) uses only the exported
-// Selection surface, as an external strategy would.
+// fixtures).
 var (
 	// StrategyPaper follows Algorithm 1: among all current partitions, take
 	// the largest group of cells sharing an in-partition X count (at least
@@ -186,10 +107,6 @@ var (
 	// RetryBudget) are tried before giving up — the paper stops at the
 	// first rejection.
 	StrategyPaperRetry Strategy = paperRetryStrategy{}
-	// StrategyXCodeHybrid re-ranks the cost-improving splits by how few
-	// output channels of a weight-3 X-code compactor the plan's residual
-	// X's would corrupt — see strategy_xcode.go.
-	StrategyXCodeHybrid Strategy = xcodeStrategy{}
 )
 
 type paperStrategy struct{}

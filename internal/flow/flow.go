@@ -39,6 +39,9 @@ type Program struct {
 	PartitionOf []int
 	// Accounting mirrors core.Result for the plan.
 	Accounting *core.Result
+	// PlannedHalts is the closed-form halt budget the schedule reserves for
+	// the accounting residual; a replay's halts must fit in it.
+	PlannedHalts int
 	// Schedule is the cycle-level tester schedule.
 	Schedule tester.Schedule
 	// Obs carries params.Obs into the replay stage; nil disables
@@ -72,11 +75,12 @@ func BuildCtx(ctx context.Context, m *xmap.XMap, params core.Params, tcfg tester
 // replay path. rec may be nil.
 func Assemble(res *core.Result, geom scan.Geometry, cancel xcancel.Config, tcfg tester.Config, rec *obs.Recorder) (*Program, error) {
 	prog := &Program{
-		Geom:       geom,
-		Cancel:     cancel,
-		Partitions: res.Partitions,
-		Accounting: res,
-		Obs:        rec,
+		Geom:         geom,
+		Cancel:       cancel,
+		Partitions:   res.Partitions,
+		Accounting:   res,
+		PlannedHalts: xcancel.Halts(res.ResidualX, cancel.MISR.Size, cancel.Q),
+		Obs:          rec,
 	}
 	sizes := make([]int, len(res.Partitions))
 	for i, p := range res.Partitions {
@@ -86,12 +90,11 @@ func Assemble(res *core.Result, geom scan.Geometry, cancel xcancel.Config, tcfg 
 		}
 	}
 	prog.PartitionOf = tester.OrderedByPartition(sizes)
-	halts := xcancel.Halts(res.ResidualX, cancel.MISR.Size, cancel.Q)
 	sched, err := tester.Compute(tester.Plan{
 		Geom:             geom,
 		PartitionOf:      prog.PartitionOf,
 		MaskBitsPerImage: geom.Cells(),
-		Halts:            halts,
+		Halts:            prog.PlannedHalts,
 		MISRSize:         cancel.MISR.Size,
 		Q:                cancel.Q,
 	}, tcfg)
@@ -138,12 +141,17 @@ type VerifyReport struct {
 	SignatureParities []int
 	// FinalSignature is the end-of-test MISR signature.
 	FinalSignature uint64
+	// Violation is the replay verdict: nil when the replay meets the plan,
+	// otherwise the first broken clause (see Program.verdict).
+	Violation error
 }
 
 // VerifyResponses replays the full response set through the program's
-// hardware models. The responses' geometry must match the program; the
-// compactor folds the chains onto the MISR inputs. Per-stage wall time and
-// the cycle/pattern counters land on prog.Obs when set.
+// hardware models and holds the replay to the plan's accounting, setting
+// VerifyReport.Violation. The responses' geometry must match the program;
+// the compactor folds the chains onto the MISR inputs. The cycle/pattern
+// counters land on prog.Obs when set; the caller owns the replay's span.
+// A non-nil error means the replay could not run at all.
 func VerifyResponses(prog *Program, set *scan.ResponseSet) (*VerifyReport, error) {
 	if set.Geom != prog.Geom {
 		return nil, fmt.Errorf("flow: response geometry %v does not match program %v", set.Geom, prog.Geom)
@@ -151,7 +159,6 @@ func VerifyResponses(prog *Program, set *scan.ResponseSet) (*VerifyReport, error
 	if set.Patterns() != len(prog.PatternOrder) {
 		return nil, fmt.Errorf("flow: %d responses for %d planned patterns", set.Patterns(), len(prog.PatternOrder))
 	}
-	defer prog.Obs.Span("flow.replay")()
 	obsPatterns := prog.Obs.Counter("flow.patterns.replayed")
 	obsCycles := prog.Obs.Counter("flow.cycles.replayed")
 	tree, err := compactor.NewModulo(prog.Geom.Chains, prog.Cancel.MISR.Size)
@@ -209,5 +216,29 @@ func VerifyResponses(prog *Program, set *scan.ResponseSet) (*VerifyReport, error
 			rep.SignatureParities = append(rep.SignatureParities, sig.Parity)
 		}
 	}
+	rep.Violation = prog.verdict(rep)
 	return rep, nil
+}
+
+// verdict holds a replay to the plan's accounting. It checks four clauses
+// in order and returns the first one broken, or nil:
+//
+//   - no observable capture is masked (fault coverage is kept);
+//   - the replayed masked-X count equals the accounted one;
+//   - the replayed residual X is at most the accounted residual (the
+//     compactor can fold X's together, never create them);
+//   - the halts fit in the planned budget.
+func (prog *Program) verdict(rep *VerifyReport) error {
+	acct := prog.Accounting
+	switch {
+	case rep.ObservableMasked != 0:
+		return fmt.Errorf("replay masked %d observable captures", rep.ObservableMasked)
+	case rep.MaskedX != acct.MaskedX:
+		return fmt.Errorf("replay masked %d X's, plan accounts %d", rep.MaskedX, acct.MaskedX)
+	case rep.ResidualX > acct.ResidualX:
+		return fmt.Errorf("replay residual %d exceeds accounted %d", rep.ResidualX, acct.ResidualX)
+	case rep.Halts > prog.PlannedHalts:
+		return fmt.Errorf("replay ran %d halts, schedule planned %d", rep.Halts, prog.PlannedHalts)
+	}
+	return nil
 }

@@ -1,9 +1,11 @@
 package flow
 
 import (
+	"strings"
 	"testing"
 
 	"xhybrid/internal/core"
+	"xhybrid/internal/logic"
 	"xhybrid/internal/misr"
 	"xhybrid/internal/netlist"
 	"xhybrid/internal/scan"
@@ -11,6 +13,7 @@ import (
 	"xhybrid/internal/workload"
 	"xhybrid/internal/xcancel"
 	"xhybrid/internal/xmap"
+	"xhybrid/internal/xmask"
 )
 
 // buildSetup simulates a generated circuit and returns everything the flow
@@ -105,6 +108,82 @@ func TestVerifyResponses(t *testing.T) {
 	// Halt count bounded by the closed form on the measured residual.
 	if rep.Halts > xcancel.Halts(rep.ResidualX, 8, 2) {
 		t.Fatalf("halts %d exceed bound %d", rep.Halts, xcancel.Halts(rep.ResidualX, 8, 2))
+	}
+}
+
+// TestReplayVerdict feeds the replay verdict a valid program, then four
+// programs each tampered to break exactly one clause; every tampered case
+// must fail with its own clause's message.
+func TestReplayVerdict(t *testing.T) {
+	geom, set, m := buildSetup(t)
+	base, err := Build(m, params(geom), tester.Config{Channels: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := VerifyResponses(base, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if good.Violation != nil {
+		t.Fatalf("valid program failed the verdict: %v", good.Violation)
+	}
+	if good.ResidualX == 0 || good.Halts == 0 {
+		t.Fatal("setup needs residual X's and halts to tamper with")
+	}
+	// A cell partition 0 captures as a known value in its first pattern.
+	first := base.Partitions[0]
+	known := -1
+	for c, v := range set.Responses[first.Patterns.Indices()[0]].Values {
+		if v != logic.X {
+			known = c
+			break
+		}
+	}
+	if known < 0 {
+		t.Fatal("no known capture to mask")
+	}
+	withAccounting := func(p *Program, edit func(*core.Result)) {
+		acct := *p.Accounting
+		edit(&acct)
+		p.Accounting = &acct
+	}
+	cases := []struct {
+		name   string
+		tamper func(*Program)
+		want   string
+	}{
+		{"mask covers a known capture", func(p *Program) {
+			part := first
+			cells := part.Mask.Cells.Clone()
+			cells.Set(known)
+			part.Mask = xmask.Mask{Cells: cells}
+			p.Partitions = append([]core.Partition{part}, p.Partitions[1:]...)
+		}, "observable captures"},
+		{"accounted MaskedX off by one", func(p *Program) {
+			withAccounting(p, func(a *core.Result) { a.MaskedX++ })
+		}, "plan accounts"},
+		{"accounted ResidualX below the replayed one", func(p *Program) {
+			withAccounting(p, func(a *core.Result) { a.ResidualX = good.ResidualX - 1 })
+		}, "exceeds accounted"},
+		{"halt budget one short", func(p *Program) {
+			p.PlannedHalts = good.Halts - 1
+		}, "schedule planned"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := *base
+			tc.tamper(&prog)
+			rep, err := VerifyResponses(&prog, set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Violation == nil {
+				t.Fatal("tampered program passed the verdict")
+			}
+			if !strings.Contains(rep.Violation.Error(), tc.want) {
+				t.Fatalf("violation %q, want the %q clause", rep.Violation, tc.want)
+			}
+		})
 	}
 }
 

@@ -253,10 +253,11 @@ type Report struct {
 	Replay   ReplaySummary `json:"replay"`
 	Coverage *Coverage     `json:"coverage,omitempty"`
 
-	// Preserved is the composite end-to-end verdict: no observable capture
-	// masked, mask effect exactly as accounted, residual and halts within
-	// the planned schedule, and (when fault simulation ran) identical
-	// coverage with and without the masks.
+	// Preserved is the composite end-to-end verdict: the replay verdict
+	// held (no observable capture masked, mask effect exactly as
+	// accounted, residual and halts within the planned schedule — see
+	// VerifyReport.Violation) and, when fault simulation ran, coverage is
+	// identical with and without the masks.
 	Preserved bool `json:"preserved"`
 
 	Stages []StageTime `json:"stages"`
@@ -423,7 +424,7 @@ func RunSpec(ctx context.Context, spec Spec, cfg RunConfig) (*Report, error) {
 	rep.MaskBits = acct.MaskBits
 	rep.CancelBits = acct.CancelBits
 	rep.TotalBits = acct.TotalBits
-	rep.PlannedHalts = xcancel.Halts(acct.ResidualX, spec.MISRSize, spec.Q)
+	rep.PlannedHalts = prog.PlannedHalts
 
 	// Stage 6: replay the captured responses through the hardware models.
 	end = stage("replay")
@@ -443,10 +444,7 @@ func RunSpec(ctx context.Context, spec Spec, cfg RunConfig) (*Report, error) {
 		NormalizedTime:   vr.NormalizedTime,
 		FinalSignature:   vr.FinalSignature,
 	}
-	rep.Preserved = vr.ObservableMasked == 0 &&
-		vr.MaskedX == acct.MaskedX &&
-		vr.ResidualX <= acct.ResidualX &&
-		vr.Halts <= rep.PlannedHalts
+	rep.Preserved = vr.Violation == nil
 
 	// Stage 7 (optional): fault simulation with and without the masks.
 	if spec.FaultSample > 0 || spec.FaultFull {

@@ -10,6 +10,7 @@ import (
 	"xhybrid/internal/core"
 	"xhybrid/internal/logic"
 	"xhybrid/internal/netlist"
+	"xhybrid/internal/obs"
 	"xhybrid/internal/scan"
 	"xhybrid/internal/sim"
 	"xhybrid/internal/xmap"
@@ -29,6 +30,30 @@ func testSpec() Spec {
 		MISRSize:    8,
 		Q:           2,
 		Strategy:    "greedy",
+	}
+}
+
+// TestRunSpecSpansOpenOnce runs one traced flow through every stage,
+// faultsim included, and requires each span to be opened exactly once: a
+// stage's span belongs to the stage wrapper, and nothing inside the stage
+// may open the same name again.
+func TestRunSpecSpansOpenOnce(t *testing.T) {
+	spec := testSpec()
+	spec.FaultSample = 20
+	rec := obs.New()
+	if _, err := RunSpec(context.Background(), spec, RunConfig{Obs: rec}); err != nil {
+		t.Fatal(err)
+	}
+	snap := rec.Snapshot()
+	for _, name := range []string{"flow.replay", "flow.faultsim"} {
+		if _, ok := snap.SpanByName(name); !ok {
+			t.Fatalf("no %s span recorded", name)
+		}
+	}
+	for _, sp := range snap.Spans {
+		if sp.Count != 1 {
+			t.Errorf("span %s opened %d times", sp.Name, sp.Count)
+		}
 	}
 }
 

@@ -448,7 +448,7 @@ func TestOptionsNormalizeRoundTrip(t *testing.T) {
 		{},
 		{Strategy: "greedy", Seed: 3},
 		{MISRSize: 16, Q: 4, Strategy: "paper-retry", MaxRounds: 5, Workers: 2},
-		{Q: 1, Strategy: "xcode-hybrid"},
+		{Q: 1, Strategy: "paper-random"},
 	} {
 		norm, err := o.Normalized(8)
 		if err != nil {

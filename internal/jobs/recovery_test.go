@@ -14,6 +14,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"xhybrid"
@@ -191,5 +192,69 @@ func TestListSkipsHalfCreatedJob(t *testing.T) {
 	}
 	if _, err := m.Get(context.Background(), "torn-job"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Get(torn-job) = %v, want ErrNotFound", err)
+	}
+}
+
+// TestRecoverRemovedStrategy: a job spooled before its strategy left the
+// registry (here the former "xcode-hybrid") must not wedge recovery. The
+// recovered job fails with the enumerating unknown-strategy error, and a
+// second spooled job still completes with the reference plan.
+func TestRecoverRemovedStrategy(t *testing.T) {
+	dir := t.TempDir()
+	x := testInput(t)
+	_, wantJSON, wantText := referencePlan(t, x, testOptions())
+	good, err := testOptions().Normalized(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	removed := good
+	removed.Strategy = "xcode-hybrid"
+
+	store, err := NewStore(dir, nil, RetryPolicy{}, obs.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, meta := range []Meta{
+		{ID: "removed-strategy", State: StateRunning, Options: removed},
+		{ID: "valid-strategy", State: StateSubmitted, Options: good},
+	} {
+		if err := store.CreateJob(context.Background(), meta, x); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rec := obs.New()
+	m, err := Open(dir, Config{Obs: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop()
+	if got := rec.Snapshot().CounterValue("jobs.recovered"); got != 2 {
+		t.Fatalf("jobs.recovered = %d, want 2", got)
+	}
+
+	st := waitTerminal(t, m, "removed-strategy")
+	if st.State != StateFailed {
+		t.Fatalf("job with a removed strategy = %s, want failed", st.State)
+	}
+	// The spool keeps the error's text; it must be the text of an error
+	// wrapping ErrUnknownStrategy, naming the rejected strategy.
+	_, lookupErr := xhybrid.PartitionCtx(context.Background(), x, removed.xhybrid())
+	if !errors.Is(lookupErr, xhybrid.ErrUnknownStrategy) {
+		t.Fatalf("partitioning under %q: %v, want ErrUnknownStrategy", removed.Strategy, lookupErr)
+	}
+	if st.Error != lookupErr.Error() || !strings.Contains(st.Error, `"xcode-hybrid"`) {
+		t.Fatalf("job error %q, want %q", st.Error, lookupErr)
+	}
+
+	if st := waitTerminal(t, m, "valid-strategy"); st.State != StateDone {
+		t.Fatalf("second recovered job = %s (error %q), want done", st.State, st.Error)
+	}
+	plan, err := m.Result(context.Background(), "valid-strategy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(planJSON(t, plan), wantJSON) || !bytes.Equal(planText(t, plan, x), wantText) {
+		t.Error("second recovered job's plan differs from the uninterrupted run")
 	}
 }

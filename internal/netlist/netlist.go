@@ -126,9 +126,6 @@ func (c *Circuit) NumGates() int { return len(c.Gates) }
 // EvalOrder returns the levelized combinational evaluation order.
 func (c *Circuit) EvalOrder() []int { return c.order }
 
-// Level returns the logic level of node id.
-func (c *Circuit) Level(id int) int { return c.level[id] }
-
 // Depth returns the maximum logic level.
 func (c *Circuit) Depth() int {
 	max := 0

@@ -26,6 +26,11 @@ type ReplayReport struct {
 	NormalizedTime float64
 	// ScheduleCycles is the full ATE schedule including mask loads.
 	ScheduleCycles int
+	// Violation is nil when the replay meets the plan's accounting: no
+	// observable capture masked, the masked X's exactly as accounted, the
+	// residual within the accounted residual and the halts within the
+	// planned budget. Otherwise it names the first broken clause.
+	Violation error
 }
 
 // ReplayCheck builds the tester program for the X locations and replays
@@ -55,7 +60,9 @@ func ReplayCheck(x *XLocations, opt Options, seed int64) (*ReplayReport, error) 
 	if err != nil {
 		return nil, err
 	}
+	endReplay := opt.Stats.Span("flow.replay")
 	rep, err := flow.VerifyResponses(prog, set)
+	endReplay()
 	if err != nil {
 		return nil, err
 	}
@@ -67,5 +74,6 @@ func ReplayCheck(x *XLocations, opt Options, seed int64) (*ReplayReport, error) 
 		Signatures:       rep.Signatures,
 		NormalizedTime:   rep.NormalizedTime,
 		ScheduleCycles:   prog.Schedule.TotalCycles,
+		Violation:        rep.Violation,
 	}, nil
 }

@@ -5,12 +5,20 @@ import "testing"
 func TestReplayCheckPaperExample(t *testing.T) {
 	x := PaperExample()
 	// 5 chains, so the MISR must be at most 5 wide.
-	rep, err := ReplayCheck(x, Options{MISRSize: 5, Q: 2}, 3)
+	stats := NewStats()
+	rep, err := ReplayCheck(x, Options{MISRSize: 5, Q: 2, Stats: stats}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rep.Violation != nil {
+		t.Fatalf("replay verdict: %v", rep.Violation)
+	}
 	if rep.ObservableMasked != 0 {
 		t.Fatalf("masks destroyed %d observable captures", rep.ObservableMasked)
+	}
+	// ReplayCheck owns the replay span; nothing under it reopens the name.
+	if sp, ok := stats.Snapshot().SpanByName("flow.replay"); !ok || sp.Count != 1 {
+		t.Fatalf("flow.replay span = %+v (recorded %t), want one", sp, ok)
 	}
 	if rep.MaskedX == 0 {
 		t.Fatal("masks removed nothing")
@@ -49,8 +57,8 @@ func TestReplayCheckScaledWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.ObservableMasked != 0 {
-		t.Fatal("observable captures masked")
+	if rep.Violation != nil {
+		t.Fatalf("replay verdict: %v", rep.Violation)
 	}
 	if rep.Halts == 0 && rep.ResidualX > 0 {
 		t.Fatal("residual X's but no canceling halts")
