@@ -406,27 +406,23 @@ func BenchmarkGaussianElimination(b *testing.B) {
 }
 
 // BenchmarkEndToEndFlow measures Build + hardware replay on a circuit
-// workload (the cmd/xhybrid verify path).
+// workload (the partition and replay stages of the flow).
 func BenchmarkEndToEndFlow(b *testing.B) {
-	ckt, err := netlist.Generate(netlist.GenConfig{
-		Name: "flowbench", ScanCells: 128, PIs: 8, XClusters: 4, XFanout: 5, Seed: 21,
+	xb, err := flow.BuildXMap(context.Background(), flow.Spec{
+		Name: "endtoend", Cells: 128, Chains: 16, XClusters: 4, XFanout: 5,
+		CircuitSeed: 21, StimSeed: 17, Patterns: 80, MISRSize: 16,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	geom := scan.MustGeometry(16, 8)
-	set, m, err := workload.FromCircuit(ckt, geom, 80, 17)
-	if err != nil {
-		b.Fatal(err)
-	}
-	params := core.Params{Geom: geom, Cancel: xcancel.Config{MISR: misr.MustStandard(16), Q: 3}}
+	params := core.Params{Geom: xb.Geom, Cancel: xcancel.Config{MISR: misr.MustStandard(16), Q: 3}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prog, err := flow.Build(m, params, tester.Config{Channels: 16, OverlapMaskLoad: true})
+		prog, err := flow.Build(xb.XMap, params, tester.Config{Channels: 16, OverlapMaskLoad: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := flow.VerifyResponses(prog, set); err != nil {
+		if _, err := flow.VerifyResponses(prog, xb.Responses); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,15 +6,16 @@
 // Usage:
 //
 //	loadgen [-url http://127.0.0.1:8471] [-tenants FILE] [-duration 10s]
-//	        [-warmup 3s] [-conc 4] [-profile ckt-a] [-scale 10] [-m 32]
+//	        [-warmup 3s] [-conc 4] [-workload ckt-a10] [-m 32]
 //	        [-q 7] [-strategy paper] [-wire binary] [-distinct 0]
 //	        [-o report.json]
 //
-// The workload body is one synthetic X-map (a cktgen profile) generated in
-// memory; requests vary the seed query parameter, which is part of the
-// server's cache key, so -distinct controls the cache profile: 0 gives
-// every request a unique seed (every request computes — the saturating
-// soak), N cycles N seeds (a 1/N miss rate once warm).
+// The workload body is one synthetic X-map (a named workload, scaled down
+// by its suffix) generated in memory; requests vary the seed query
+// parameter, which is part of the server's cache key, so -distinct controls
+// the cache profile: 0 gives every request a unique seed (every request
+// computes — the saturating soak), N cycles N seeds (a 1/N miss rate once
+// warm).
 //
 // With -tenants FILE (the same JSON key file xhybridd loads) every tenant
 // becomes a closed-loop lane of -conc workers sending its key, and the
@@ -38,10 +39,7 @@ import (
 	"time"
 
 	"xhybrid"
-	"xhybrid/internal/scan"
 	"xhybrid/internal/server"
-	"xhybrid/internal/workload"
-	"xhybrid/internal/xmap"
 )
 
 func die(err error) {
@@ -67,9 +65,9 @@ type report struct {
 }
 
 type reportConfig struct {
-	URL       string  `json:"url"`
+	URL string `json:"url"`
+	// Profile is the -workload name, scale suffix included.
 	Profile   string  `json:"profile"`
-	Scale     int     `json:"scale"`
 	BodyBytes int     `json:"body_bytes"`
 	M         int     `json:"m"`
 	Q         int     `json:"q"`
@@ -121,8 +119,7 @@ func main() {
 	duration := flag.Duration("duration", 10*time.Second, "soak length")
 	warmup := flag.Duration("warmup", 3*time.Second, "ramp-up window excluded from the report (lanes filling, connections dialing)")
 	conc := flag.Int("conc", 4, "closed-loop workers per tenant")
-	profile := flag.String("profile", "ckt-a", "workload profile: ckt-a, ckt-b or ckt-c")
-	scale := flag.Int("scale", 10, "shrink the profile by this factor")
+	workloadName := flag.String("workload", "ckt-a10", "workload name: ckt-a, ckt-b or ckt-c, optionally scaled down as in ckt-a10")
 	m := flag.Int("m", 32, "MISR size query parameter")
 	q := flag.Int("q", 7, "q query parameter")
 	strategy := flag.String("strategy", "paper", "strategy query parameter")
@@ -146,12 +143,12 @@ func main() {
 		tenants = []server.Tenant{{ID: "anonymous", Weight: 1}}
 	}
 
-	body, contentType, err := buildBody(*profile, *scale, *wire)
+	body, contentType, err := buildBody(*workloadName, *wire)
 	if err != nil {
 		die(err)
 	}
-	fmt.Fprintf(os.Stderr, "loadgen: %s/%d %s body %d bytes, %d tenants x %d workers, %s soak against %s\n",
-		*profile, *scale, *wire, len(body), len(tenants), *conc, *duration, *url)
+	fmt.Fprintf(os.Stderr, "loadgen: %s %s body %d bytes, %d tenants x %d workers, %s soak against %s\n",
+		*workloadName, *wire, len(body), len(tenants), *conc, *duration, *url)
 
 	client := &http.Client{Transport: &http.Transport{
 		MaxIdleConns:        len(tenants) * *conc,
@@ -250,7 +247,7 @@ func main() {
 
 	rep := report{
 		Config: reportConfig{
-			URL: *url, Profile: *profile, Scale: *scale, BodyBytes: len(body),
+			URL: *url, Profile: *workloadName, BodyBytes: len(body),
 			M: *m, Q: *q, Strategy: *strategy, Distinct: *distinct,
 			Conc: *conc, Duration: time.Since(start).Seconds(), Warmup: warmup.Seconds(),
 		},
@@ -318,26 +315,8 @@ func main() {
 // request re-sends these bytes. The binary format keeps the server's
 // per-request parse cost (paid outside the job slot) negligible, so the
 // soak measures admission scheduling, not JSON decoding.
-func buildBody(profile string, scale int, wire string) (body []byte, contentType string, err error) {
-	var p workload.Profile
-	switch profile {
-	case "ckt-a":
-		p = workload.CKTA()
-	case "ckt-b":
-		p = workload.CKTB()
-	case "ckt-c":
-		p = workload.CKTC()
-	default:
-		return nil, "", fmt.Errorf("unknown profile %q", profile)
-	}
-	if scale > 1 {
-		p = workload.Scaled(p, scale)
-	}
-	m, err := p.Generate()
-	if err != nil {
-		return nil, "", err
-	}
-	x, err := toXLocations(p.Geometry(), m)
+func buildBody(name, wire string) (body []byte, contentType string, err error) {
+	x, err := xhybrid.Workload(name, 0)
 	if err != nil {
 		return nil, "", err
 	}
@@ -356,28 +335,6 @@ func buildBody(profile string, scale int, wire string) (body []byte, contentType
 		return nil, "", err
 	}
 	return buf.Bytes(), contentType, nil
-}
-
-// toXLocations converts the internal X-map to the public facade type (the
-// same bridge cmd/cktgen uses).
-func toXLocations(g scan.Geometry, m *xmap.XMap) (*xhybrid.XLocations, error) {
-	x, err := xhybrid.NewXLocations(g.Chains, g.ChainLen, m.Patterns())
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range m.XCells() {
-		chain, pos := g.CellCoord(c.Cell)
-		var addErr error
-		c.Patterns.ForEach(func(p int) {
-			if addErr == nil {
-				addErr = x.AddX(p, chain, pos)
-			}
-		})
-		if addErr != nil {
-			return nil, addErr
-		}
-	}
-	return x, nil
 }
 
 // percentiles computes the latency summary over the OK requests.

@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -164,6 +165,7 @@ func flowSpecNames() []string {
 	for n := range flowSpecs {
 		names = append(names, n)
 	}
+	sort.Strings(names)
 	return names
 }
 
@@ -216,24 +218,9 @@ func prepare(name string) (*input, error) {
 		return &input{name: name, m: xb.XMap, geom: xb.Geom,
 			responses: xb.Responses, mSize: spec.MISRSize, q: spec.Q}, nil
 	}
-	var prof workload.Profile
-	rest := ""
-	switch {
-	case strings.HasPrefix(name, "ckt-a"):
-		prof, rest = workload.CKTA(), name[len("ckt-a"):]
-	case strings.HasPrefix(name, "ckt-b"):
-		prof, rest = workload.CKTB(), name[len("ckt-b"):]
-	case strings.HasPrefix(name, "ckt-c"):
-		prof, rest = workload.CKTC(), name[len("ckt-c"):]
-	default:
-		return nil, fmt.Errorf("stratbench: unknown workload %q", name)
-	}
-	if rest != "" {
-		scale := 0
-		if _, err := fmt.Sscanf(rest, "%d", &scale); err != nil || scale < 1 {
-			return nil, fmt.Errorf("stratbench: bad profile scale in %q", name)
-		}
-		prof = workload.Scaled(prof, scale)
+	prof, err := workload.ByName(name)
+	if err != nil {
+		return nil, fmt.Errorf("%w (or %s)", err, strings.Join(flowSpecNames(), ", "))
 	}
 	m, err := prof.Generate()
 	if err != nil {

@@ -18,14 +18,11 @@ import (
 	"fmt"
 	"log"
 
-	"xhybrid/internal/atpg"
 	"xhybrid/internal/core"
 	"xhybrid/internal/fault"
+	"xhybrid/internal/flow"
 	"xhybrid/internal/misr"
-	"xhybrid/internal/netlist"
 	"xhybrid/internal/report"
-	"xhybrid/internal/scan"
-	"xhybrid/internal/workload"
 	"xhybrid/internal/xcancel"
 	"xhybrid/internal/xmap"
 	"xhybrid/internal/xmask"
@@ -39,29 +36,31 @@ func main() {
 	lossyFrac := flag.Float64("lossyfrac", 0.05, "threshold fraction for the lossy mask ablation")
 	flag.Parse()
 
-	ckt, err := netlist.Generate(netlist.GenConfig{
-		Name:      "covdemo",
-		ScanCells: *cells,
-		PIs:       8,
-		XClusters: 5,
-		XFanout:   6,
-		Seed:      *seed,
+	// The flow's front half: generate the circuit, apply LFSR stimuli,
+	// simulate and extract the X-map. MISRSize only has to fit the 8 chains
+	// here; the plan below sets its own canceling configuration.
+	xb, err := flow.BuildXMap(context.Background(), flow.Spec{
+		Name:        "covdemo",
+		Cells:       *cells,
+		Chains:      8,
+		XClusters:   5,
+		XFanout:     6,
+		CircuitSeed: *seed,
+		StimSeed:    uint64(*seed),
+		Patterns:    *patterns,
+		MISRSize:    8,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	geom := scan.MustGeometry(8, *cells/8)
-	set, xm, err := workload.FromCircuit(ckt, geom, *patterns, uint64(*seed))
-	if err != nil {
-		log.Fatal(err)
-	}
+	ckt, st, xm := xb.Circuit, xb.Stimuli, xb.XMap
 	fmt.Printf("circuit %s: %d gates, %d scan cells; %d patterns, %d X's (density %s)\n",
-		ckt.Name, ckt.NumGates(), len(ckt.ScanCells), set.Patterns(), xm.TotalX(),
+		ckt.Name, ckt.NumGates(), len(ckt.ScanCells), xb.Responses.Patterns(), xm.TotalX(),
 		report.Percent(xm.Density()))
 
 	// Hybrid plan over the measured X-map.
 	res, err := core.Run(xm, core.Params{
-		Geom:   geom,
+		Geom:   xb.Geom,
 		Cancel: xcancel.Config{MISR: misr.MustStandard(16), Q: 3},
 	})
 	if err != nil {
@@ -77,7 +76,6 @@ func main() {
 
 	// The same LFSR stimuli the responses came from. One PPSFP pass scores
 	// all three observability predicates from the same faulty captures.
-	st := atpg.GenerateStimuli(*patterns, len(ckt.ScanCells), len(ckt.PIs), uint64(*seed))
 	faults := fault.Sample(fault.AllFaults(ckt), *nFaults, *seed)
 	names := []string{"full (no compaction)", "proposed hybrid masks", "lossy threshold masks"}
 	preds := []fault.Observe{nil, proposed, maskObserver(lossyParts)}

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
-	"xhybrid/internal/gf2"
 	"xhybrid/internal/misr"
 	"xhybrid/internal/obs"
 	"xhybrid/internal/workload"
@@ -147,25 +145,5 @@ func BenchmarkRunGreedyWorkers8(b *testing.B) {
 		if _, err := Run(m, p); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkMaskedXIn(b *testing.B) {
-	prof := workload.Scaled(workload.CKTB(), 4)
-	m, err := prof.Generate()
-	if err != nil {
-		b.Fatal(err)
-	}
-	// newEvaluator (not a bare literal) so the pool is real: the bare
-	// struct used to panic on the nil pool the moment maskedXIn fanned out.
-	e := newEvaluator(context.Background(), m, Params{
-		Geom: prof.Geometry(), Cancel: xcancel.Config{MISR: misr.MustStandard(32), Q: 7}, Workers: 1,
-	})
-	defer e.close()
-	all := gf2.NewVec(m.Patterns())
-	all.SetAll()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.maskedXIn(all)
 	}
 }

@@ -57,17 +57,6 @@ type Params struct {
 	Seed int64
 	// MaxRounds caps accepted partitioning rounds; 0 means unlimited.
 	MaxRounds int
-	// ElideEmptyMasks, when set, excludes partitions whose mask covers no
-	// cell from the mask control-bit accounting (the masking hardware's
-	// all-pass default). The paper always charges every partition; this is
-	// an ablation knob.
-	ElideEmptyMasks bool
-	// GreedyCandidateCap bounds the distinct splits StrategyGreedyCost
-	// evaluates per round (largest groups first); 0 means 256.
-	GreedyCandidateCap int
-	// RetryBudget bounds the candidate groups StrategyPaperRetry tries
-	// after a cost rejection before stopping; 0 means 8.
-	RetryBudget int
 	// MaskBitsPerPartition overrides the control-bit price of one mask
 	// image (0 = the paper's Geom.Cells()). Lower prices model compressed
 	// mask delivery (see internal/xmask encoders) and shift the cost
@@ -115,13 +104,6 @@ func (p Params) maskImageBits() int {
 	return p.Geom.Cells()
 }
 
-func (p Params) retryBudget() int {
-	if p.RetryBudget <= 0 {
-		return 8
-	}
-	return p.RetryBudget
-}
-
 // Validate checks the parameters.
 func (p Params) Validate() error {
 	if err := p.Geom.Validate(); err != nil {
@@ -135,9 +117,6 @@ func (p Params) Validate() error {
 	}
 	if p.MaxRounds < 0 {
 		return fmt.Errorf("core: negative MaxRounds")
-	}
-	if p.RetryBudget < 0 {
-		return fmt.Errorf("core: negative RetryBudget")
 	}
 	if p.MaskBitsPerPartition < 0 {
 		return fmt.Errorf("core: negative MaskBitsPerPartition")
@@ -200,8 +179,7 @@ type Result struct {
 	// ResidualX = TotalX - MaskedX flows into the X-canceling MISR.
 	ResidualX int
 
-	// MaskBits is the masking control-bit volume (cells * partitions,
-	// minus elided empty masks if configured).
+	// MaskBits is the masking control-bit volume (cells * partitions).
 	MaskBits int
 	// CancelBits is the X-canceling control-bit volume for ResidualX.
 	CancelBits int
@@ -336,32 +314,6 @@ func (e *evaluator) err() error {
 		return fmt.Errorf("core: run aborted: %w", err)
 	}
 	return nil
-}
-
-// maskedXIn returns how many X's a shared mask removes in the partition,
-// always scanning every X-capturing cell — the raw, uncached cost the
-// incremental engine avoids (partState.ensureStats computes the same value
-// once per distinct partition, over a partition-local cell index).
-// Benchmarks keep measuring this scan directly.
-// The per-cell membership tests fan out over the pool; the integer sum is
-// order-independent. A canceled run short-circuits to 0 — the caller
-// discards the round's results once it observes the cancellation.
-func (e *evaluator) maskedXIn(part gf2.Vec) int {
-	size := part.PopCount()
-	if size == 0 {
-		return 0
-	}
-	e.obsRecomputes.Inc()
-	cells := e.m.XCells()
-	return e.pool.SumInt(len(cells), func(i int) int {
-		if i&cancelCheckMask == 0 && e.canceled() {
-			return 0
-		}
-		if cells[i].Patterns.PopCountAnd(part) == size {
-			return size
-		}
-		return 0
-	})
 }
 
 // cancelCheckMask spaces the cancellation polls of the per-cell loops: one

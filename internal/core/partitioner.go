@@ -268,6 +268,10 @@ func (e *evaluator) selectPaper(live []*partState, random bool, rng *rand.Rand) 
 	return best
 }
 
+// greedyCandidateCap bounds the distinct splits selectGreedy evaluates per
+// partition and round (largest gain first).
+const greedyCandidateCap = 256
+
 // selectGreedy evaluates the cost delta of every distinct candidate split
 // and returns the best strictly improving one, or nil. Phase 1 assembles
 // each partition's deduplicated, gain-ranked candidate cells — memoized on
@@ -279,15 +283,11 @@ func (e *evaluator) selectPaper(live []*partState, random bool, rng *rand.Rand) 
 // enumeration order (partition index, then gain rank), so the pick matches
 // a serial scan exactly.
 func (e *evaluator) selectGreedy(live []*partState, masked, maskBits, cost int) *Split {
-	limit := e.params.GreedyCandidateCap
-	if limit <= 0 {
-		limit = 256
-	}
 	e.pool.ForEach(len(live), func(i int) {
 		if e.canceled() || live[i].size < 2 {
 			return
 		}
-		live[i].ensureCands(e, limit)
+		live[i].ensureCands(e, greedyCandidateCap)
 	})
 	var all []Split
 	for i, st := range live {
@@ -334,9 +334,6 @@ func (e *evaluator) finalize(live []*partState, rounds []Round) *Result {
 		mask, mx := xmask.PartitionMask(e.m, st.part)
 		res.Partitions = append(res.Partitions, Partition{Patterns: st.part, Mask: mask, MaskedX: mx})
 		res.MaskedX += mx
-		if e.params.ElideEmptyMasks && mask.Cells.PopCount() == 0 {
-			continue
-		}
 		maskBits += e.params.maskImageBits()
 	}
 	res.ResidualX = res.TotalX - res.MaskedX

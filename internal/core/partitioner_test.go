@@ -315,19 +315,6 @@ func TestNoXMapStillWorks(t *testing.T) {
 	}
 }
 
-func TestElideEmptyMasks(t *testing.T) {
-	m := xmap.New(4, 15)
-	p := fig4Params(2)
-	p.ElideEmptyMasks = true
-	res, err := Run(m, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MaskBits != 0 || res.TotalBits != 0 {
-		t.Fatalf("elided accounting wrong: %+v", res)
-	}
-}
-
 // Cheap (compressed) mask delivery shifts the cost optimum toward more
 // partitions: the m=10 q=1 configuration that stops at round 1 under the
 // paper's raw mask price continues to three partitions when a mask image

@@ -9,12 +9,12 @@ import (
 
 // The strategy registry is the single source of the strategy-name
 // vocabulary. Every surface that turns a wire name into a Strategy — the
-// xhybrid facade, flow specs, the jobs spool, the HTTP API, partbench,
+// xhybrid facade and command, flow specs, the jobs spool, the HTTP API,
 // stratbench — resolves through LookupStrategy, so every built-in strategy
 // is accepted everywhere and an unknown name fails everywhere with the same
 // enumerating error. (Before the registry the vocabulary lived in four
-// independent string switches, and partbench had already drifted: it spelled
-// greedy-cost where the other surfaces spelled greedy.)
+// independent string switches, and one benchmark harness had already
+// drifted: it spelled greedy-cost where the other surfaces spelled greedy.)
 var (
 	registry = map[string]Strategy{
 		StrategyPaper.Name():       StrategyPaper,

@@ -368,12 +368,9 @@ func (e *evaluator) scanPair(parent, xs, rs *partState) {
 	})
 }
 
-// contrib returns the partition's mask control-bit contribution. Stats must
-// be filled.
+// contrib returns the partition's mask control-bit contribution: one mask
+// image, whatever the mask covers (the paper charges every partition).
 func (e *evaluator) contrib(st *partState) int {
-	if e.params.ElideEmptyMasks && st.maskCells == 0 {
-		return 0
-	}
 	return e.params.maskImageBits()
 }
 

@@ -104,7 +104,7 @@ var (
 	StrategyGreedyCost Strategy = greedyStrategy{}
 	// StrategyPaperRetry extends Algorithm 1: when the best group's split
 	// is rejected by the cost function, the next candidate groups (up to
-	// RetryBudget) are tried before giving up — the paper stops at the
+	// retryBudget) are tried before giving up — the paper stops at the
 	// first rejection.
 	StrategyPaperRetry Strategy = paperRetryStrategy{}
 )
@@ -142,12 +142,16 @@ func (paperRandomStrategy) ReplayRound(rng *rand.Rand, r Round) error {
 	return nil
 }
 
+// retryBudget bounds the candidate groups StrategyPaperRetry tries after a
+// cost rejection before stopping.
+const retryBudget = 8
+
 type paperRetryStrategy struct{}
 
 func (paperRetryStrategy) Name() string   { return "paper-retry" }
 func (paperRetryStrategy) String() string { return "paper-retry" }
 func (s paperRetryStrategy) Select(sc *Selection) []Split {
-	return sc.e.selectPaperList(sc.live, sc.e.params.retryBudget())
+	return sc.e.selectPaperList(sc.live, retryBudget)
 }
 
 type greedyStrategy struct{}

@@ -1,16 +1,15 @@
 package flow
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"xhybrid/internal/core"
 	"xhybrid/internal/logic"
 	"xhybrid/internal/misr"
-	"xhybrid/internal/netlist"
 	"xhybrid/internal/scan"
 	"xhybrid/internal/tester"
-	"xhybrid/internal/workload"
 	"xhybrid/internal/xcancel"
 	"xhybrid/internal/xmap"
 	"xhybrid/internal/xmask"
@@ -20,21 +19,17 @@ import (
 // needs: geometry, responses and the derived X-map.
 func buildSetup(t *testing.T) (scan.Geometry, *scan.ResponseSet, *xmap.XMap) {
 	t.Helper()
-	ckt, err := netlist.Generate(netlist.GenConfig{
-		Name: "flowtest", ScanCells: 128, PIs: 8, XClusters: 4, XFanout: 5, Seed: 21,
+	xb, err := BuildXMap(context.Background(), Spec{
+		Name: "flowtest", Cells: 128, Chains: 16, XClusters: 4, XFanout: 5,
+		CircuitSeed: 21, StimSeed: 17, Patterns: 80, MISRSize: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	geom := scan.MustGeometry(16, 8)
-	set, m, err := workload.FromCircuit(ckt, geom, 80, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.TotalX() == 0 {
+	if xb.XMap.TotalX() == 0 {
 		t.Fatal("setup produced no X's")
 	}
-	return geom, set, m
+	return xb.Geom, xb.Responses, xb.XMap
 }
 
 func params(geom scan.Geometry) core.Params {
@@ -183,7 +178,28 @@ func TestReplayVerdict(t *testing.T) {
 			if !strings.Contains(rep.Violation.Error(), tc.want) {
 				t.Fatalf("violation %q, want the %q clause", rep.Violation, tc.want)
 			}
+			// The flow report carries the same clause text.
+			var fr Report
+			fr.judge(rep.Violation)
+			if fr.Preserved || fr.Violation != rep.Violation.Error() {
+				t.Fatalf("report verdict preserved=%t violation=%q, want %q", fr.Preserved, fr.Violation, rep.Violation)
+			}
 		})
+	}
+}
+
+// TestReportNamesCoverageChange: with a sound replay, a coverage leg that
+// lost detections is what the report's violation names.
+func TestReportNamesCoverageChange(t *testing.T) {
+	fr := Report{Coverage: &Coverage{Faults: 10, BaselineDetected: 7, HybridDetected: 6}}
+	fr.judge(nil)
+	if fr.Preserved || !strings.Contains(fr.Violation, "fault coverage") {
+		t.Fatalf("preserved=%t violation=%q, want a coverage violation", fr.Preserved, fr.Violation)
+	}
+	fr = Report{Coverage: &Coverage{Faults: 10, BaselineDetected: 7, HybridDetected: 7, Preserved: true}}
+	fr.judge(nil)
+	if !fr.Preserved || fr.Violation != "" {
+		t.Fatalf("sound run: preserved=%t violation=%q", fr.Preserved, fr.Violation)
 	}
 }
 

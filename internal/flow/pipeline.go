@@ -6,8 +6,8 @@ package flow
 // models — asserting on the way that the fault-coverage-preservation
 // property holds by construction. This is the construction-grade input path
 // the synthetic workload profiles approximate; docs/FLOW.md walks through
-// every stage, cmd/flowbench drives it from the command line, and the
-// serving layer runs it as the /v1/flow job type.
+// every stage, the xhybrid command's verify subcommand drives it from the
+// command line, and the serving layer runs it as the /v1/flow job type.
 
 import (
 	"context"
@@ -259,6 +259,9 @@ type Report struct {
 	// VerifyReport.Violation) and, when fault simulation ran, coverage is
 	// identical with and without the masks.
 	Preserved bool `json:"preserved"`
+	// Violation says why Preserved is false: the first broken replay
+	// clause, or else the coverage change. Empty when Preserved.
+	Violation string `json:"violation,omitempty"`
 
 	Stages []StageTime `json:"stages"`
 }
@@ -444,7 +447,6 @@ func RunSpec(ctx context.Context, spec Spec, cfg RunConfig) (*Report, error) {
 		NormalizedTime:   vr.NormalizedTime,
 		FinalSignature:   vr.FinalSignature,
 	}
-	rep.Preserved = vr.Violation == nil
 
 	// Stage 7 (optional): fault simulation with and without the masks.
 	if spec.FaultSample > 0 || spec.FaultFull {
@@ -455,9 +457,23 @@ func RunSpec(ctx context.Context, spec Spec, cfg RunConfig) (*Report, error) {
 			return nil, err
 		}
 		rep.Coverage = cov
-		rep.Preserved = rep.Preserved && cov.Preserved
 	}
+	rep.judge(vr.Violation)
 	return rep, nil
+}
+
+// judge sets the composite verdict from the replay verdict and the
+// coverage leg: Violation names the first broken replay clause or, with
+// the replay sound, a coverage change; Preserved is its absence.
+func (rep *Report) judge(replay error) {
+	switch cov := rep.Coverage; {
+	case replay != nil:
+		rep.Violation = replay.Error()
+	case cov != nil && !cov.Preserved:
+		rep.Violation = fmt.Sprintf("masks changed fault coverage: %d of %d faults detected fully observed, %d under the masks",
+			cov.BaselineDetected, cov.Faults, cov.HybridDetected)
+	}
+	rep.Preserved = rep.Violation == ""
 }
 
 // simulateParallel captures every pattern's response, fanning 64-pattern

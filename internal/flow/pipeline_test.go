@@ -294,6 +294,7 @@ func TestRunSpecValidation(t *testing.T) {
 	}{
 		{"too few cells", func(s *Spec) { s.Cells = 1 }},
 		{"chains do not divide cells", func(s *Spec) { s.Chains = 7 }},
+		{"negative pattern count", func(s *Spec) { s.Patterns = -1 }},
 		{"misr wider than chains", func(s *Spec) { s.MISRSize = 64 }},
 		{"unknown strategy", func(s *Spec) { s.Strategy = "divine" }},
 		{"negative fault sample", func(s *Spec) { s.FaultSample = -1 }},

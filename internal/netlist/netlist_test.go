@@ -1,7 +1,6 @@
 package netlist
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -124,38 +123,6 @@ func TestGateTypeString(t *testing.T) {
 	}
 	if GateType(99).String() == "" {
 		t.Fatal("unknown type renders empty")
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	c := buildToy(t)
-	var buf bytes.Buffer
-	if err := c.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.Name != c.Name || c2.NumGates() != c.NumGates() {
-		t.Fatal("round trip lost structure")
-	}
-	for i := range c.Gates {
-		if c.Gates[i].Type != c2.Gates[i].Type {
-			t.Fatalf("gate %d type changed", i)
-		}
-	}
-	if len(c2.ScanCells) != 2 || len(c2.PIs) != 2 {
-		t.Fatal("round trip lost scan/pi lists")
-	}
-}
-
-func TestReadJSONErrors(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("{bad json")); err == nil {
-		t.Fatal("bad json accepted")
-	}
-	if _, err := ReadJSON(strings.NewReader(`{"name":"x","gates":[{"t":"WAT"}]}`)); err == nil {
-		t.Fatal("unknown gate type accepted")
 	}
 }
 

@@ -1,17 +1,6 @@
 package workload
 
-import (
-	"testing"
-
-	"xhybrid/internal/netlist"
-	"xhybrid/internal/scan"
-)
-
-func benchCircuit() (*netlist.Circuit, error) {
-	return netlist.Generate(netlist.GenConfig{
-		Name: "wlbench", ScanCells: 256, PIs: 16, XClusters: 8, XFanout: 5, Seed: 2,
-	})
-}
+import "testing"
 
 func BenchmarkGenerateCKTBQuarter(b *testing.B) {
 	p := Scaled(CKTB(), 4)
@@ -33,20 +22,6 @@ func BenchmarkGenerateCustomDense(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := p.Generate(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFromCircuit(b *testing.B) {
-	c, err := benchCircuit()
-	if err != nil {
-		b.Fatal(err)
-	}
-	geom := scan.MustGeometry(16, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := FromCircuit(c, geom, 128, 7); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,6 +15,8 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"xhybrid/internal/scan"
 	"xhybrid/internal/xmap"
@@ -262,6 +264,39 @@ func CKTC() Profile {
 
 // Profiles returns the three paper designs in Table 1 order.
 func Profiles() []Profile { return []Profile{CKTA(), CKTB(), CKTC()} }
+
+// ByName resolves a workload name to its profile. The names are the three
+// paper designs, ckt-a, ckt-b and ckt-c, also spelled ckta or a (any case),
+// optionally followed by a scale-down factor: ckt-b4 is Scaled(CKTB(), 4).
+// Every command and the public facade resolve workload names here.
+func ByName(name string) (Profile, error) {
+	lower := strings.ToLower(name)
+	base := strings.TrimRight(lower, "0123456789")
+	var p Profile
+	switch base {
+	case "ckt-a", "ckta", "a":
+		p = CKTA()
+	case "ckt-b", "cktb", "b":
+		p = CKTB()
+	case "ckt-c", "cktc", "c":
+		p = CKTC()
+	default:
+		return Profile{}, unknownName(name)
+	}
+	if suffix := lower[len(base):]; suffix != "" {
+		factor, err := strconv.Atoi(suffix)
+		if err != nil || factor < 1 {
+			return Profile{}, unknownName(name)
+		}
+		p = Scaled(p, factor)
+	}
+	return p, nil
+}
+
+func unknownName(name string) error {
+	return fmt.Errorf("workload: unknown workload %q (want ckt-a, ckt-b or ckt-c, "+
+		"also spelled ckta/a, cktb/b, cktc/c, with an optional scale-down factor such as ckt-b4)", name)
+}
 
 // Scaled returns a proportionally shrunken copy of a profile (1/factor of
 // the chains and patterns), for fast tests and examples.

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"xhybrid/internal/correlation"
-	"xhybrid/internal/netlist"
 	"xhybrid/internal/scan"
 	"xhybrid/internal/xmap"
 )
@@ -181,35 +180,5 @@ func TestSpatialClustersIntraCorrelation(t *testing.T) {
 	// Density target still met.
 	if d := m.Density(); d < p.XDensity*0.95 || d > p.XDensity*1.05 {
 		t.Fatalf("spatial density = %f, want ~%f", d, p.XDensity)
-	}
-}
-
-func TestFromCircuit(t *testing.T) {
-	c, err := netlist.Generate(netlist.GenConfig{
-		Name: "wl", ScanCells: 48, PIs: 6, XClusters: 3, XFanout: 4, Seed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	geom := scan.MustGeometry(8, 6)
-	set, m, err := FromCircuit(c, geom, 100, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.Patterns() != 100 || m.Patterns() != 100 {
-		t.Fatal("pattern count wrong")
-	}
-	if m.TotalX() != set.TotalX() {
-		t.Fatal("X-map inconsistent with responses")
-	}
-	if m.TotalX() == 0 {
-		t.Fatal("circuit workload produced no X's")
-	}
-	// Geometry mismatch must error.
-	if _, _, err := FromCircuit(c, scan.MustGeometry(7, 6), 10, 1); err == nil {
-		t.Fatal("accepted mismatched geometry")
-	}
-	if _, _, err := FromCircuit(c, geom, 0, 1); err == nil {
-		t.Fatal("accepted zero patterns")
 	}
 }

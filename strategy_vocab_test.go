@@ -19,8 +19,8 @@ func vocabSpec(strategy string) flow.Spec {
 
 // surfaces are every layer that turns a wire strategy name into a runnable
 // strategy. Each returns the canonical name it resolved to, or an error.
-// partbench and stratbench call core.LookupStrategy directly, so the core
-// row covers the CLIs.
+// The xhybrid command goes through the facade; stratbench calls
+// core.LookupStrategy directly, so the core row covers it.
 var surfaces = []struct {
 	name    string
 	resolve func(strategy string) (string, error)

@@ -375,18 +375,12 @@ func Analyze(x *XLocations) *Analysis {
 }
 
 // Workload synthesizes one of the paper's industrial-design profiles:
-// "ckt-a", "ckt-b" or "ckt-c" (seed 0 uses the profile default).
+// "ckt-a", "ckt-b" or "ckt-c", optionally scaled down as in "ckt-b4" (seed
+// 0 uses the profile default).
 func Workload(name string, seed int64) (*XLocations, error) {
-	var p workload.Profile
-	switch strings.ToLower(name) {
-	case "ckt-a", "ckta", "a":
-		p = workload.CKTA()
-	case "ckt-b", "cktb", "b":
-		p = workload.CKTB()
-	case "ckt-c", "cktc", "c":
-		p = workload.CKTC()
-	default:
-		return nil, fmt.Errorf("xhybrid: unknown workload %q (want ckt-a, ckt-b or ckt-c)", name)
+	p, err := workload.ByName(name)
+	if err != nil {
+		return nil, fmt.Errorf("xhybrid: %w", err)
 	}
 	if seed != 0 {
 		p.Seed = seed
