@@ -4,18 +4,18 @@
 //
 // Usage:
 //
-//	xhybridd [-addr :8471] [-cache-bytes N] [-cache-dir DIR]
-//	         [-cache-disk-bytes N] [-tenants FILE] [-queue 64]
+//	xhybridd [-addr :8471] [-cache-bytes N] [-queue 64]
 //	         [-concurrency N] [-job-workers N] [-job-timeout 60s]
 //	         [-drain 30s] [-spool DIR] [-checkpoint-every K]
 //
 // Endpoints:
 //
-//	POST /v1/partition   X-map in the body (JSON, or text with input=text /
-//	                     a text/* Content-Type); options m, q, strategy,
-//	                     seed, rounds, workers, verbose, format=json|text
-//	                     as query parameters. format=text bodies are
-//	                     byte-identical to `xhybrid partition` stdout.
+//	POST /v1/partition   X-map in the body (JSON, text or binary XMAPB,
+//	                     optionally gzip-compressed); options m, q,
+//	                     strategy, seed, rounds, workers, verbose,
+//	                     format=json|text as query parameters. format=text
+//	                     bodies are byte-identical to `xhybrid partition`
+//	                     stdout.
 //	POST /v1/analyze     Section 3 correlation analysis of the posted X-map.
 //	GET  /healthz        liveness probe.
 //	GET  /metrics        Prometheus text exposition of every server and
@@ -23,14 +23,10 @@
 //	                     rounds, splits scored, stage spans, ...).
 //	GET  /debug/pprof/   live profiling of the serving process.
 //
-// With -tenants FILE the server enforces per-tenant API keys: requests
-// must carry `Authorization: Bearer <key>` (or X-API-Key), job slots are
-// granted by weighted fair scheduling across tenants, and each tenant's
-// concurrency/wait quotas apply. Without the flag the server stays open.
-//
-// With -cache-dir DIR computed plans also persist to a content-addressed
-// disk store (up to -cache-disk-bytes), so a restarted daemon serves
-// previously computed plans from disk with zero recompute.
+// At most -concurrency partition jobs compute at once and at most -queue
+// requests wait for a slot, granted in arrival order; a request beyond
+// that gets 503 with Retry-After. Computed plans are kept in an in-memory
+// LRU of -cache-bytes.
 //
 // With -spool DIR the async jobs API comes up as well: submissions are
 // spooled to DIR, checkpoint every -checkpoint-every accepted rounds, and
@@ -74,9 +70,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8471", "listen address")
 	cacheBytes := flag.Int64("cache-bytes", 256<<20, "in-memory result-cache budget in bytes (negative disables)")
-	cacheDir := flag.String("cache-dir", "", "directory for the persistent result cache (empty disables)")
-	cacheDiskBytes := flag.Int64("cache-disk-bytes", 1<<30, "persistent result-cache budget in bytes")
-	tenantsFile := flag.String("tenants", "", "tenant API-key file (empty leaves the server open)")
 	queue := flag.Int("queue", 64, "max requests waiting for a job slot")
 	concurrency := flag.Int("concurrency", 0, "max partition jobs computing at once (0 = all CPUs)")
 	jobWorkers := flag.Int("job-workers", 0, "worker-goroutine ceiling per job (0 = all CPUs)")
@@ -88,16 +81,6 @@ func main() {
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "xhybridd: unexpected arguments %v\n", flag.Args())
 		os.Exit(2)
-	}
-
-	var tenants []server.Tenant
-	if *tenantsFile != "" {
-		var err error
-		tenants, err = server.LoadTenants(*tenantsFile)
-		if err != nil {
-			log.Fatalf("xhybridd: %v", err)
-		}
-		log.Printf("xhybridd: %d tenants loaded from %s", len(tenants), *tenantsFile)
 	}
 
 	rec := obs.New()
@@ -118,9 +101,6 @@ func main() {
 
 	srv, err := server.New(server.Config{
 		CacheBytes:       *cacheBytes,
-		CacheDir:         *cacheDir,
-		CacheDiskBytes:   *cacheDiskBytes,
-		Tenants:          tenants,
 		MaxConcurrent:    *concurrency,
 		MaxQueue:         *queue,
 		MaxWorkersPerJob: *jobWorkers,
@@ -131,9 +111,6 @@ func main() {
 	})
 	if err != nil {
 		log.Fatalf("xhybridd: %v", err)
-	}
-	if *cacheDir != "" {
-		log.Printf("xhybridd: persistent result cache at %s (budget %d bytes)", *cacheDir, *cacheDiskBytes)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

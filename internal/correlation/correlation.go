@@ -62,42 +62,27 @@ func Analyze(m *xmap.XMap) *Analysis {
 // omitted. Groups are sorted by size descending, ties by count descending;
 // member cells ascend.
 func GroupsWithin(m *xmap.XMap, part gf2.Vec) []Group {
-	return GroupsWithinPool(m, part, nil)
+	return GroupsWithinCells(context.Background(), m, part, nil, nil, nil)
 }
 
-// GroupsWithinPool is GroupsWithin with the per-cell X counting — the
-// dominant cost at industrial scale — fanned out over pl (nil runs
-// serially). Counts land in a cell-indexed slice and the grouping pass is
-// serial, so the result is identical for any worker count.
-func GroupsWithinPool(m *xmap.XMap, part gf2.Vec, pl *pool.Pool) []Group {
-	return GroupsWithinObs(m, part, pl, nil)
-}
-
-// GroupsWithinObs is GroupsWithinPool recording the grouping work on rec:
-// counter correlation.groupings counts invocations and
-// correlation.cells.counted the per-cell X-count evaluations (the hot
-// multiply of the partitioner). A nil rec disables recording.
-func GroupsWithinObs(m *xmap.XMap, part gf2.Vec, pl *pool.Pool, rec *obs.Recorder) []Group {
-	return GroupsWithinCtx(context.Background(), m, part, pl, rec)
-}
-
-// GroupsWithinCtx is GroupsWithinObs under a context: the per-cell counting
-// loop — the partitioner's hot multiply — polls ctx every 64 cells and
-// stops counting once it is done. A canceled call returns whatever partial
-// grouping fell out; the caller (core.RunCtx) observes the cancellation
-// itself and discards the round, so the partial result never escapes.
-func GroupsWithinCtx(ctx context.Context, m *xmap.XMap, part gf2.Vec, pl *pool.Pool, rec *obs.Recorder) []Group {
-	return GroupsWithinCells(ctx, m, part, nil, pl, rec)
-}
-
-// GroupsWithinCells is GroupsWithinCtx restricted to a candidate slot list
+// GroupsWithinCells is GroupsWithin restricted to a candidate slot list
 // (indices into m.XCells, ascending). Cells outside slots are treated as
-// having zero in-partition X's — exactly the grouping GroupsWithinCtx
-// produces when every omitted cell genuinely has none, which holds whenever
-// slots is a superset of the cells intersecting part (e.g. the slot index of
-// any ancestor partition). A nil slots scans every X-capturing cell. The
-// caller is responsible for the superset property; the partitioner maintains
-// it by deriving each child's slot list from its parent's.
+// having zero in-partition X's — exactly the grouping a full scan produces
+// when every omitted cell genuinely has none, which holds whenever slots
+// is a superset of the cells intersecting part (e.g. the slot index of any
+// ancestor partition). A nil slots scans every X-capturing cell. The
+// caller is responsible for the superset property; the partitioner
+// maintains it by deriving each child's slot list from its parent's.
+//
+// The per-cell X counting — the partitioner's hot multiply — fans out over
+// pl (nil runs serially); counts land in a slot-indexed slice and the
+// grouping pass is serial, so the result is identical for any worker
+// count. The counting loop polls ctx every 64 cells and stops once it is
+// done; a canceled call returns whatever partial grouping fell out, and
+// the caller (core.RunCtx) observes the cancellation itself and discards
+// the round, so the partial result never escapes. rec counts invocations
+// (correlation.groupings) and per-cell X-count evaluations
+// (correlation.cells.counted); a nil rec disables recording.
 func GroupsWithinCells(ctx context.Context, m *xmap.XMap, part gf2.Vec, slots []int32, pl *pool.Pool, rec *obs.Recorder) []Group {
 	rec.Add("correlation.groupings", 1)
 	cells := m.XCells()

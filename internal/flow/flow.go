@@ -130,7 +130,9 @@ type VerifyReport struct {
 	// Halts and Signatures summarize the canceling sessions.
 	Halts      int
 	Signatures int
-	// Deficits counts halts that could not extract the full q combinations.
+	// Deficits sums Halt.Deficit over every halt: the X-free combinations
+	// the halts should have delivered (q each) and did not. It counts
+	// missing combinations, not halts.
 	Deficits int
 	// ControlBits is the canceling control data actually transferred.
 	ControlBits int

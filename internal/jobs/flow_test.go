@@ -63,15 +63,12 @@ func TestFlowJobLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	meta, err := m.SubmitFlow(context.Background(), testFlowSpec(), "acme")
+	meta, err := m.SubmitFlow(context.Background(), testFlowSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if meta.Kind != KindFlow {
 		t.Fatalf("submitted kind %q, want %q", meta.Kind, KindFlow)
-	}
-	if meta.Tenant != "acme" {
-		t.Fatalf("submitted tenant %q, want acme", meta.Tenant)
 	}
 	st := waitTerminal(t, m, meta.ID)
 	if st.State != StateDone {
@@ -110,7 +107,7 @@ func TestSubmitFlowRejectsBadSpec(t *testing.T) {
 	defer m.Stop()
 	bad := testFlowSpec()
 	bad.Chains = 7 // does not divide 256
-	if _, err := m.SubmitFlow(context.Background(), bad, ""); err == nil {
+	if _, err := m.SubmitFlow(context.Background(), bad); err == nil {
 		t.Fatal("SubmitFlow accepted an invalid spec")
 	}
 }
@@ -141,7 +138,7 @@ func TestFlowJobStopResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, err := mA.SubmitFlow(context.Background(), testFlowSpec(), "")
+	meta, err := mA.SubmitFlow(context.Background(), testFlowSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -275,13 +275,6 @@ func (m *Manager) Store() *Store { return m.store }
 
 // Submit spools a new job and enqueues it, returning its metadata.
 func (m *Manager) Submit(ctx context.Context, x *xhybrid.XLocations, opts Options) (Meta, error) {
-	return m.SubmitTenant(ctx, x, opts, "")
-}
-
-// SubmitTenant is Submit with tenant attribution: the id is recorded on
-// the durable job record (and reported in every status) so operators can
-// tell whose job a spool entry is after a restart.
-func (m *Manager) SubmitTenant(ctx context.Context, x *xhybrid.XLocations, opts Options, tenant string) (Meta, error) {
 	norm, err := opts.Normalized(m.cfg.CheckpointEvery)
 	if err != nil {
 		return Meta{}, err
@@ -291,7 +284,6 @@ func (m *Manager) SubmitTenant(ctx context.Context, x *xhybrid.XLocations, opts 
 		State:   StateSubmitted,
 		Options: norm,
 		Created: time.Now().UTC(),
-		Tenant:  tenant,
 	}
 	if err := m.store.CreateJob(ctx, meta, x); err != nil {
 		return Meta{}, err
@@ -313,7 +305,7 @@ func (m *Manager) SubmitTenant(ctx context.Context, x *xhybrid.XLocations, opts 
 // The spec is normalized and validated before anything touches disk, so a
 // bad spec fails synchronously (the serving layer clamps spec.Workers
 // before calling here).
-func (m *Manager) SubmitFlow(ctx context.Context, spec xhybrid.FlowSpec, tenant string) (Meta, error) {
+func (m *Manager) SubmitFlow(ctx context.Context, spec xhybrid.FlowSpec) (Meta, error) {
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {
 		return Meta{}, err
@@ -324,7 +316,6 @@ func (m *Manager) SubmitFlow(ctx context.Context, spec xhybrid.FlowSpec, tenant 
 		State:   StateSubmitted,
 		Options: Options{Workers: spec.Workers, CheckpointEvery: m.cfg.CheckpointEvery},
 		Created: time.Now().UTC(),
-		Tenant:  tenant,
 	}
 	if err := m.store.CreateFlowJob(ctx, meta, &spec); err != nil {
 		return Meta{}, err

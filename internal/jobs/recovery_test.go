@@ -258,3 +258,63 @@ func TestRecoverRemovedStrategy(t *testing.T) {
 		t.Error("second recovered job's plan differs from the uninterrupted run")
 	}
 }
+
+// TestRecoverLegacyTenantField: job records once carried the submitting
+// tenant's id. A non-terminal job spooled with that field must still be
+// recovered and finish with the reference plan.
+func TestRecoverLegacyTenantField(t *testing.T) {
+	dir := t.TempDir()
+	x := testInput(t)
+	_, wantJSON, wantText := referencePlan(t, x, testOptions())
+	opts, err := testOptions().Normalized(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewStore(dir, nil, RetryPolicy{}, obs.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "legacy-tenant"
+	if err := store.CreateJob(context.Background(), Meta{ID: id, State: StateRunning, Options: opts}, x); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, id, metaFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var record map[string]any
+	if err := json.Unmarshal(data, &record); err != nil {
+		t.Fatal(err)
+	}
+	record["tenant"] = "acme"
+	if data, err = json.Marshal(record); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"tenant":"acme"`)) {
+		t.Fatalf("fixture lacks the legacy field: %s", data)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := obs.New()
+	m, err := Open(dir, Config{Obs: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop()
+	if got := rec.Snapshot().CounterValue("jobs.recovered"); got != 1 {
+		t.Fatalf("jobs.recovered = %d, want 1", got)
+	}
+	if st := waitTerminal(t, m, id); st.State != StateDone {
+		t.Fatalf("recovered job = %s (error %q), want done", st.State, st.Error)
+	}
+	plan, err := m.Result(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(planJSON(t, plan), wantJSON) || !bytes.Equal(planText(t, plan, x), wantText) {
+		t.Error("recovered job's plan differs from the direct run")
+	}
+}

@@ -56,10 +56,6 @@ type Meta struct {
 	Rounds int `json:"rounds,omitempty"`
 	// Resumes counts how many times the job was restarted from the spool.
 	Resumes int `json:"resumes,omitempty"`
-	// Tenant records which tenant submitted the job (empty for the
-	// anonymous tenant of an open server). Attribution only — admission is
-	// enforced at submit time by the serving layer.
-	Tenant string `json:"tenant,omitempty"`
 }
 
 // Store is the crash-durable job spool: one directory per job holding the

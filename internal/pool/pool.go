@@ -74,7 +74,7 @@ func (p *Pool) Stats() (dispatched, inline int64) {
 }
 
 // Close releases the pool's goroutines. It must not be called concurrently
-// with Chunks/ForEach/SumInt; after Close the pool runs everything inline.
+// with Chunks/ForEach; after Close the pool runs everything inline.
 func (p *Pool) Close() {
 	if p.tasks != nil {
 		close(p.tasks)
@@ -133,26 +133,4 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 			fn(i)
 		}
 	})
-}
-
-// SumInt returns the sum of fn(i) over [0,n). Partial sums are accumulated
-// per chunk and reduced in chunk order, so the result is deterministic (and
-// integer addition makes it independent of the chunking anyway).
-func (p *Pool) SumInt(n int, fn func(i int) int) int {
-	if n <= 0 {
-		return 0
-	}
-	partial := make([]int, p.chunks(n))
-	p.Chunks(n, func(c, lo, hi int) {
-		s := 0
-		for i := lo; i < hi; i++ {
-			s += fn(i)
-		}
-		partial[c] = s
-	})
-	total := 0
-	for _, s := range partial {
-		total += s
-	}
-	return total
 }

@@ -57,33 +57,20 @@ func TestChunkIndicesDisjoint(t *testing.T) {
 	}
 }
 
-func TestSumInt(t *testing.T) {
-	for _, workers := range []int{1, 2, 5, 16} {
-		p := New(workers)
-		got := p.SumInt(1000, func(i int) int { return i })
-		if got != 999*1000/2 {
-			t.Fatalf("workers=%d: SumInt = %d, want %d", workers, got, 999*1000/2)
-		}
-		if p.SumInt(0, func(int) int { return 1 }) != 0 {
-			t.Fatal("SumInt(0) != 0")
-		}
-		p.Close()
-	}
-}
-
 // Nested fan-out on one pool must complete (inline fallback, no deadlock)
 // and still visit every index exactly once.
 func TestNestedFanOut(t *testing.T) {
 	p := New(4)
 	defer p.Close()
 	const outer, inner = 16, 64
-	var total int64
+	visits := make([]int, outer*inner)
 	p.ForEach(outer, func(i int) {
-		s := p.SumInt(inner, func(j int) int { return 1 })
-		atomic.AddInt64(&total, int64(s))
+		p.ForEach(inner, func(j int) { visits[i*inner+j]++ })
 	})
-	if total != outer*inner {
-		t.Fatalf("nested total = %d, want %d", total, outer*inner)
+	for k, v := range visits {
+		if v != 1 {
+			t.Fatalf("index %d visited %d times, want 1", k, v)
+		}
 	}
 }
 
@@ -91,7 +78,13 @@ func TestNestedFanOut(t *testing.T) {
 func TestUseAfterClose(t *testing.T) {
 	p := New(4)
 	p.Close()
-	if got := p.SumInt(100, func(i int) int { return i }); got != 4950 {
-		t.Fatalf("SumInt after Close = %d, want 4950", got)
+	vals := make([]int, 100)
+	p.ForEach(100, func(i int) { vals[i] = i })
+	sum := 0
+	for _, v := range vals {
+		sum += v
+	}
+	if sum != 4950 {
+		t.Fatalf("sum after Close = %d, want 4950", sum)
 	}
 }

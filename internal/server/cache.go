@@ -144,7 +144,7 @@ func (c *resultCache) len() int {
 	return c.ll.Len()
 }
 
-// size returns the current byte total of the in-memory tier.
+// size returns the current byte total of the cached plans.
 func (c *resultCache) size() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

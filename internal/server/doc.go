@@ -8,11 +8,12 @@
 //
 // Three production concerns wrap the pipeline:
 //
-//   - Admission control: a bounded job queue (jobQueue) caps the partition
+//   - Admission control: a FIFO slot queue (slotQueue) caps the partition
 //     jobs running concurrently and the requests allowed to wait for a
-//     slot; excess load is rejected with 503 instead of piling up. Each
-//     admitted job gets a per-request worker budget, clamped by the server,
-//     which core.Params.Workers hands to internal/pool.
+//     slot, granting slots in arrival order; excess load is rejected with
+//     503 + Retry-After instead of piling up. Each admitted job gets a
+//     per-request worker budget, clamped by the server, which
+//     core.Params.Workers hands to internal/pool.
 //
 //   - Result caching: plans are memoized in an LRU (resultCache) keyed by a
 //     canonical digest of the X-map plus every plan-shaping option. The
@@ -27,7 +28,7 @@
 //
 // Cancellation is end-to-end: the request context flows through
 // xhybrid.PartitionCtx into core.RunCtx, the split-scoring loops,
-// correlation.GroupsWithinCtx and the pool fan-outs, so a dropped
+// correlation.GroupsWithinCells and the pool fan-outs, so a dropped
 // connection or an expired deadline stops compute mid-round. Graceful
 // shutdown (Serve under a canceled context) stops accepting connections
 // and drains in-flight jobs before returning.

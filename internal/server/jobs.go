@@ -81,11 +81,6 @@ func (s *Server) jobErr(w http.ResponseWriter, err error) {
 // with the job record before any computing happens.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.reqs.Inc()
-	ten, ok := s.authorize(w, r)
-	if !ok {
-		return
-	}
-	s.tenantCounter(ten, "requests").Inc()
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	q := r.URL.Query()
 	ro, err := parseOptions(q)
@@ -117,11 +112,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		Workers:         s.clampWorkers(ro.workers),
 		CheckpointEvery: every,
 	}
-	tenantID := ""
-	if ten != anonTenant {
-		tenantID = ten.ID
-	}
-	meta, err := s.cfg.Jobs.SubmitTenant(r.Context(), x, opts, tenantID)
+	meta, err := s.cfg.Jobs.Submit(r.Context(), x, opts)
 	if err != nil {
 		if errors.Is(err, jobs.ErrQueueFull) {
 			s.jobErr(w, err)
@@ -141,11 +132,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // worker budget.
 func (s *Server) handleFlowSubmit(w http.ResponseWriter, r *http.Request) {
 	s.reqs.Inc()
-	ten, ok := s.authorize(w, r)
-	if !ok {
-		return
-	}
-	s.tenantCounter(ten, "requests").Inc()
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	workers := 0
 	if v := r.URL.Query().Get("workers"); v != "" {
@@ -168,11 +154,7 @@ func (s *Server) handleFlowSubmit(w http.ResponseWriter, r *http.Request) {
 		spec.Workers = workers
 	}
 	spec.Workers = s.clampWorkers(spec.Workers)
-	tenantID := ""
-	if ten != anonTenant {
-		tenantID = ten.ID
-	}
-	meta, err := s.cfg.Jobs.SubmitFlow(r.Context(), spec, tenantID)
+	meta, err := s.cfg.Jobs.SubmitFlow(r.Context(), spec)
 	if err != nil {
 		if errors.Is(err, jobs.ErrQueueFull) {
 			s.jobErr(w, err)
@@ -188,9 +170,6 @@ func (s *Server) handleFlowSubmit(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	s.reqs.Inc()
-	if _, ok := s.authorize(w, r); !ok {
-		return
-	}
 	list, err := s.cfg.Jobs.List(r.Context())
 	if err != nil {
 		s.jobErr(w, err)
@@ -208,9 +187,6 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	s.reqs.Inc()
-	if _, ok := s.authorize(w, r); !ok {
-		return
-	}
 	st, err := s.cfg.Jobs.Get(r.Context(), r.PathValue("id"))
 	if err != nil {
 		s.jobErr(w, err)
@@ -226,9 +202,6 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 // with the flow report (JSON only).
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	s.reqs.Inc()
-	if _, ok := s.authorize(w, r); !ok {
-		return
-	}
 	id := r.PathValue("id")
 	ro, err := parseOptions(r.URL.Query())
 	if err != nil {
@@ -283,9 +256,6 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 // no-op success (DELETE is idempotent).
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	s.reqs.Inc()
-	if _, ok := s.authorize(w, r); !ok {
-		return
-	}
 	id := r.PathValue("id")
 	if err := s.cfg.Jobs.Cancel(r.Context(), id); err != nil {
 		s.jobErr(w, err)

@@ -3,235 +3,96 @@ package server
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 )
 
-// Admission errors; the handlers map them onto HTTP statuses.
-var (
-	// errQueueFull reports a request that found every job slot busy and
-	// the global wait queue at capacity (503 + Retry-After).
-	errQueueFull = errors.New("server: job queue full")
-	// errTenantBusy reports a request beyond its own tenant's wait quota
-	// while the server still has room for other tenants (429).
-	errTenantBusy = errors.New("server: tenant wait quota exceeded")
-)
+// errQueueFull reports a request that found every job slot busy and the
+// wait queue at capacity; the handler answers 503 + Retry-After.
+var errQueueFull = errors.New("server: job queue full")
 
-// strideOne is the numerator of the stride-scheduling arithmetic: a
-// tenant's pass advances by strideOne/weight per granted slot, so over any
-// saturated window the grant counts are proportional to the weights.
-const strideOne = 1 << 20
-
-// fairQueue is the admission controller of the serving layer: at most
+// slotQueue is the admission controller of the serving layer: at most
 // `capacity` partition jobs run at once, at most `maxWait` requests wait
-// for a slot, and — the multi-tenant part — waiting requests are granted
-// slots by weighted fair (stride) scheduling instead of arrival order.
-// Each tenant carries a virtual-time pass; granting a slot advances the
-// grantee's pass by strideOne/weight, and the next free slot goes to the
-// eligible tenant with the smallest pass. A weight-3 tenant therefore gets
-// three grants for each grant of a weight-1 tenant while both stay
-// backlogged (TestFairQueueWeightedThroughput), and an idle tenant's pass
-// is clamped forward on arrival so sitting out never banks credit.
+// for a slot, and waiting requests are granted slots in arrival order.
 //
-// Everything is decided under one mutex, which closes the burst race the
-// old channel-based jobQueue had: between its lock-free fast-path miss and
-// its waiting-counter increment a slot could free, rejecting a request
-// while capacity sat idle. Here slot state and wait counts change
-// atomically, so a request is rejected only when the queue really is full
-// at that instant (locked by TestAcquireReleaseBurstRace).
-type fairQueue struct {
+// Everything is decided under one mutex. A lock-free fast path could see
+// every slot busy, lose the race with a release, and then reject the
+// request against a full wait count while capacity sat idle; here slot
+// state and the wait list change together, so a request is rejected only
+// when the queue really is full at that instant (locked by
+// TestAcquireReleaseBurstRace). A release hands its slot straight to the
+// oldest waiter, so waiters exist only while every slot is busy.
+type slotQueue struct {
 	mu       sync.Mutex
 	capacity int
 	maxWait  int
 	running  int
-	waiting  int
-	vtime    uint64 // pass of the most recent grant (activation clamp)
-	tenants  map[string]*tenantSched
+	waiters  []chan struct{} // FIFO; a waiter's channel closes on its grant
 }
 
-// tenantSched is one tenant's scheduling state inside the queue.
-type tenantSched struct {
-	tenant  *Tenant
-	running int
-	queue   []*fqWaiter // FIFO within the tenant
-	pass    uint64
-	stride  uint64
+// newSlotQueue returns a queue of capacity slots (at least 1) and at most
+// maxWait waiters; a negative maxWait lets none wait.
+func newSlotQueue(capacity, maxWait int) *slotQueue {
+	return &slotQueue{capacity: capacity, maxWait: maxWait}
 }
 
-// fqWaiter parks one request waiting for a slot. granted is written under
-// fairQueue.mu before ready closes, so the cancel path can tell a lost
-// race from a pending wait.
-type fqWaiter struct {
-	ready   chan struct{}
-	granted bool
-}
-
-func newFairQueue(capacity, maxWait int) *fairQueue {
-	if capacity < 1 {
-		capacity = 1
-	}
-	if maxWait < 0 {
-		maxWait = 0
-	}
-	return &fairQueue{
-		capacity: capacity,
-		maxWait:  maxWait,
-		tenants:  make(map[string]*tenantSched),
-	}
-}
-
-// sched returns (creating on first use) the tenant's scheduling state.
-func (q *fairQueue) sched(t *Tenant) *tenantSched {
-	ts, ok := q.tenants[t.ID]
-	if !ok {
-		w := t.Weight
-		if w < 1 {
-			w = 1
-		}
-		ts = &tenantSched{tenant: t, stride: strideOne / uint64(w)}
-		q.tenants[t.ID] = ts
-	}
-	return ts
-}
-
-// grantLocked hands ts one slot and advances its virtual time.
-func (q *fairQueue) grantLocked(ts *tenantSched) {
-	// Clamp an idle tenant's pass to the current virtual time: fairness is
-	// over the contended present, not banked from quiet hours.
-	if ts.pass < q.vtime {
-		ts.pass = q.vtime
-	}
-	q.vtime = ts.pass
-	ts.pass += ts.stride
-	ts.running++
-	q.running++
-}
-
-// eligibleLocked reports whether ts may be granted a slot right now.
-func (q *fairQueue) eligibleLocked(ts *tenantSched) bool {
-	if q.running >= q.capacity {
-		return false
-	}
-	if lim := ts.tenant.MaxConcurrent; lim > 0 && ts.running >= lim {
-		return false
-	}
-	return true
-}
-
-// dispatchLocked grants free slots to waiting tenants in weighted-fair
-// order until capacity is exhausted or nobody eligible remains.
-func (q *fairQueue) dispatchLocked() {
-	for q.running < q.capacity {
-		var best *tenantSched
-		for _, ts := range q.tenants {
-			if len(ts.queue) == 0 || !q.eligibleLocked(ts) {
-				continue
-			}
-			// Smallest pass wins; ties break by id so scheduling is
-			// deterministic under test.
-			if best == nil || ts.pass < best.pass ||
-				(ts.pass == best.pass && ts.tenant.ID < best.tenant.ID) {
-				best = ts
-			}
-		}
-		if best == nil {
-			return
-		}
-		w := best.queue[0]
-		best.queue = best.queue[1:]
-		q.waiting--
-		q.grantLocked(best)
-		w.granted = true
-		close(w.ready)
-	}
-}
-
-// acquire blocks until the tenant is granted a job slot, an admission
-// bound rejects the request (errQueueFull for the global wait cap,
-// errTenantBusy for the tenant's own), or ctx is done (its error). A nil
-// return must be paired with release(tenant).
-func (q *fairQueue) acquire(ctx context.Context, tenant *Tenant) error {
+// acquire blocks until the request is granted a job slot, the wait queue
+// is full (errQueueFull), or ctx is done (its error). A nil return must be
+// paired with release.
+func (q *slotQueue) acquire(ctx context.Context) error {
 	q.mu.Lock()
-	ts := q.sched(tenant)
-	// Immediate grant: a free slot, no backlog of our own to queue behind,
-	// and the tenant under its concurrency cap. Checked under the same
-	// lock dispatch uses, so a freed slot is never missed.
-	if len(ts.queue) == 0 && q.eligibleLocked(ts) {
-		q.grantLocked(ts)
+	if q.running < q.capacity {
+		q.running++
 		q.mu.Unlock()
 		return nil
 	}
-	if q.waiting >= q.maxWait {
+	if len(q.waiters) >= q.maxWait {
 		q.mu.Unlock()
 		return errQueueFull
 	}
-	if lim := tenant.MaxWaiting; lim > 0 && len(ts.queue) >= lim {
-		q.mu.Unlock()
-		return errTenantBusy
-	}
-	w := &fqWaiter{ready: make(chan struct{})}
-	ts.queue = append(ts.queue, w)
-	q.waiting++
-	// Re-dispatch before parking: the enqueue may have made this tenant
-	// schedulable for a slot that was free but unreachable a moment ago
-	// (belt and braces — the grant/release paths already dispatch).
-	q.dispatchLocked()
+	ready := make(chan struct{})
+	q.waiters = append(q.waiters, ready)
 	q.mu.Unlock()
 
 	select {
-	case <-w.ready:
-		return nil
+	case <-ready:
 	case <-ctx.Done():
-		q.mu.Lock()
-		if w.granted {
-			// The grant raced the cancellation: the slot is ours, so hand
-			// it back like a normal release.
-			q.releaseLocked(ts)
-			q.mu.Unlock()
-			return ctx.Err()
-		}
-		// Still queued: remove eagerly so a dead waiter can never clog the
-		// tenant's FIFO or hold a wait-queue place.
-		for i, cand := range ts.queue {
-			if cand == w {
-				ts.queue = append(ts.queue[:i], ts.queue[i+1:]...)
-				q.waiting--
-				break
-			}
-		}
-		q.mu.Unlock()
-		return ctx.Err()
 	}
+	if ctx.Err() == nil {
+		return nil // granted
+	}
+	// The request ended while it waited, or before it woke to its grant:
+	// leave the wait list, or hand the granted slot to the next waiter.
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if i := slices.Index(q.waiters, ready); i >= 0 {
+		q.waiters = slices.Delete(q.waiters, i, i+1)
+	} else {
+		q.releaseLocked()
+	}
+	return ctx.Err()
 }
 
-// release returns the tenant's slot and wakes the next waiter in
-// weighted-fair order.
-func (q *fairQueue) release(tenant *Tenant) {
+// release returns a slot, handing it to the oldest waiter if any.
+func (q *slotQueue) release() {
 	q.mu.Lock()
-	q.releaseLocked(q.sched(tenant))
+	q.releaseLocked()
 	q.mu.Unlock()
 }
 
-func (q *fairQueue) releaseLocked(ts *tenantSched) {
-	ts.running--
-	q.running--
-	q.dispatchLocked()
+func (q *slotQueue) releaseLocked() {
+	if len(q.waiters) == 0 {
+		q.running--
+		return
+	}
+	close(q.waiters[0])
+	q.waiters = q.waiters[1:]
 }
 
 // depth reports the running and waiting request counts (scrape-time
 // gauges).
-func (q *fairQueue) depth() (running, waiting int64) {
+func (q *slotQueue) depth() (running, waiting int64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return int64(q.running), int64(q.waiting)
-}
-
-// tenantDepth reports one tenant's running and waiting counts.
-func (q *fairQueue) tenantDepth(id string) (running, waiting int64) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	ts, ok := q.tenants[id]
-	if !ok {
-		return 0, 0
-	}
-	return int64(ts.running), int64(len(ts.queue))
+	return int64(q.running), int64(len(q.waiters))
 }

@@ -2,14 +2,13 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
 )
 
 // waitDepth spins until the queue reports the wanted waiting count.
-func waitDepth(t *testing.T, q *fairQueue, want int64) {
+func waitDepth(t *testing.T, q *slotQueue, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -24,70 +23,6 @@ func waitDepth(t *testing.T, q *fairQueue, want int64) {
 	}
 }
 
-// TestFairQueueWeightedThroughput is the fairness property test: with a
-// weight-3 and a weight-1 tenant both saturating a one-slot queue, the
-// grant counts over any window must track the 3:1 weights (within 15%, the
-// budget the soak harness also enforces). The stride scheduler is
-// deterministic, so in practice the split is exact; the tolerance only
-// absorbs the window's rounding.
-func TestFairQueueWeightedThroughput(t *testing.T) {
-	heavy := &Tenant{ID: "heavy", Weight: 3}
-	light := &Tenant{ID: "light", Weight: 1}
-	holder := &Tenant{ID: "zzz-holder", Weight: 1}
-
-	const perTenant = 60
-	q := newFairQueue(1, 2*perTenant)
-	// Park the only slot so every waiter below queues behind it; the
-	// scheduler then decides the whole grant order at once.
-	if err := q.acquire(context.Background(), holder); err != nil {
-		t.Fatal(err)
-	}
-
-	grants := make(chan string, 2*perTenant)
-	var wg sync.WaitGroup
-	for i := 0; i < 2*perTenant; i++ {
-		ten := heavy
-		if i%2 == 1 {
-			ten = light
-		}
-		wg.Add(1)
-		go func(ten *Tenant) {
-			defer wg.Done()
-			if err := q.acquire(context.Background(), ten); err != nil {
-				t.Errorf("acquire(%s): %v", ten.ID, err)
-				return
-			}
-			// Send before release: the next grant can only happen inside
-			// this release, so channel order is exactly grant order.
-			grants <- ten.ID
-			q.release(ten)
-		}(ten)
-	}
-	waitDepth(t, q, 2*perTenant)
-	q.release(holder)
-	wg.Wait()
-	close(grants)
-
-	// Judge the first half of the grant stream — the window where both
-	// tenants still have work queued (after one runs dry the other gets
-	// every remaining slot, which is starvation-freedom, not weighting).
-	window := perTenant
-	counts := map[string]int{}
-	for id := range grants {
-		if window == 0 {
-			break
-		}
-		counts[id]++
-		window--
-	}
-	wantHeavy := float64(perTenant) * 3 / 4
-	got := float64(counts["heavy"])
-	if got < wantHeavy*0.85 || got > wantHeavy*1.15 {
-		t.Fatalf("heavy tenant got %d of %d grants, want %.0f +/- 15%% (light got %d)",
-			counts["heavy"], perTenant, wantHeavy, counts["light"])
-	}
-}
-
 // TestAcquireReleaseBurstRace provokes the window the old channel-based
 // jobQueue lost: with zero wait capacity and exactly `capacity` concurrent
 // callers, a slot freed between the fast-path miss and the overflow check
@@ -96,21 +31,20 @@ func TestFairQueueWeightedThroughput(t *testing.T) {
 // the test.
 func TestAcquireReleaseBurstRace(t *testing.T) {
 	const capacity = 4
-	q := newFairQueue(capacity, 0)
+	q := newSlotQueue(capacity, 0)
 	var wg sync.WaitGroup
 	for g := 0; g < capacity; g++ {
-		ten := &Tenant{ID: fmt.Sprintf("t%d", g), Weight: 1}
 		wg.Add(1)
-		go func(ten *Tenant) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				if err := q.acquire(context.Background(), ten); err != nil {
+				if err := q.acquire(context.Background()); err != nil {
 					t.Errorf("iteration %d: %d callers on %d slots got %v", i, capacity, capacity, err)
 					return
 				}
-				q.release(ten)
+				q.release()
 			}
-		}(ten)
+		}()
 	}
 	wg.Wait()
 	if running, waiting := q.depth(); running != 0 || waiting != 0 {
@@ -118,102 +52,73 @@ func TestAcquireReleaseBurstRace(t *testing.T) {
 	}
 }
 
-// TestFairQueueTenantQuotas covers the per-tenant bounds: MaxConcurrent
-// queues a tenant's surplus even when global slots are free, and MaxWaiting
-// rejects with errTenantBusy (not errQueueFull) once the tenant's own lane
-// is full.
-func TestFairQueueTenantQuotas(t *testing.T) {
-	ten := &Tenant{ID: "capped", Weight: 1, MaxConcurrent: 1, MaxWaiting: 1}
-	q := newFairQueue(4, 16)
-	if err := q.acquire(context.Background(), ten); err != nil {
+// TestSlotQueueFIFO pins the admission order: with the one slot held,
+// waiters are granted in arrival order, a request beyond the wait cap is
+// refused, and a waiter whose context ends before it wakes to its grant
+// hands the slot to the next waiter instead of keeping it.
+func TestSlotQueueFIFO(t *testing.T) {
+	q := newSlotQueue(1, 3)
+	if err := q.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
-	// Second request: global capacity is free, but the tenant cap parks it.
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		err := q.acquire(ctx, ten)
-		if err == nil {
-			q.release(ten)
-		}
-		done <- err
-	}()
-	waitDepth(t, q, 1)
-	if running, _ := q.depth(); running != 1 {
-		t.Fatalf("running = %d, want 1 (MaxConcurrent must hold the second acquire)", running)
-	}
-
-	// Third request: the tenant's wait lane (MaxWaiting=1) is full.
-	if err := q.acquire(context.Background(), ten); err != errTenantBusy {
-		t.Fatalf("over-quota acquire = %v, want errTenantBusy", err)
-	}
-
-	// Release the slot: the parked waiter gets it and finishes cleanly.
-	q.release(ten)
-	if err := <-done; err != nil {
-		t.Fatalf("parked waiter: %v", err)
-	}
-	cancel()
-	if running, waiting := q.depth(); running != 0 || waiting != 0 {
-		t.Fatalf("queue leaked state: running=%d waiting=%d", running, waiting)
-	}
-}
-
-// TestFairQueueIdleTenantNoCredit checks the activation clamp: a tenant
-// that sat idle while another consumed slots must not return with a
-// banked low pass and monopolize the queue — after its first grant the
-// stream goes back to the weighted interleave.
-func TestFairQueueIdleTenantNoCredit(t *testing.T) {
-	a := &Tenant{ID: "a", Weight: 1}
-	b := &Tenant{ID: "b", Weight: 1}
-	q := newFairQueue(1, 64)
-
-	// a alone takes many grants, pushing its pass far ahead.
-	for i := 0; i < 32; i++ {
-		if err := q.acquire(context.Background(), a); err != nil {
-			t.Fatal(err)
-		}
-		q.release(a)
-	}
-
-	// Now both contend. Without the clamp b would win the next 32 grants
-	// in a row; with it the split over the window is even.
-	holder := &Tenant{ID: "zzz", Weight: 1}
-	if err := q.acquire(context.Background(), holder); err != nil {
-		t.Fatal(err)
-	}
-	grants := make(chan string, 32)
+	// Three waiters, queued one at a time so arrival order is fixed. Each
+	// reports its grant and holds the slot until told to release it.
+	granted := make(chan int, 3)
+	proceed := make([]chan struct{}, 3)
 	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
-		ten := a
-		if i%2 == 1 {
-			ten = b
-		}
+	for i := range proceed {
+		proceed[i] = make(chan struct{})
 		wg.Add(1)
-		go func(ten *Tenant) {
+		go func() {
 			defer wg.Done()
-			if err := q.acquire(context.Background(), ten); err != nil {
-				t.Errorf("acquire(%s): %v", ten.ID, err)
+			if err := q.acquire(context.Background()); err != nil {
+				t.Errorf("waiter %d: %v", i, err)
 				return
 			}
-			grants <- ten.ID
-			q.release(ten)
-		}(ten)
+			granted <- i
+			<-proceed[i]
+			q.release()
+		}()
+		waitDepth(t, q, int64(i+1))
 	}
-	waitDepth(t, q, 32)
-	q.release(holder)
-	wg.Wait()
-	close(grants)
-
-	bRun := 0 // longest leading run of b grants
-	for id := range grants {
-		if id != "b" {
-			break
+	if err := q.acquire(context.Background()); err != errQueueFull {
+		t.Fatalf("acquire beyond the wait cap = %v, want errQueueFull", err)
+	}
+	q.release()
+	for i := range proceed {
+		if got := <-granted; got != i {
+			t.Fatalf("grant %d went to waiter %d, want arrival order", i, got)
 		}
-		bRun++
+		close(proceed[i])
 	}
-	if bRun > 2 {
-		t.Fatalf("idle tenant banked credit: b took the first %d grants in a row", bRun)
+	wg.Wait()
+
+	// Hand-off: the grant and the end of the first waiter's context land
+	// together (under the queue's lock) before it wakes, so it must pass
+	// the slot to the second waiter and report its context error.
+	if err := q.acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	first := make(chan error, 1)
+	go func() { first <- q.acquire(ctx) }()
+	waitDepth(t, q, 1)
+	second := make(chan error, 1)
+	go func() { second <- q.acquire(context.Background()) }()
+	waitDepth(t, q, 2)
+	q.mu.Lock()
+	cancel()
+	q.releaseLocked()
+	q.mu.Unlock()
+	if err := <-first; err != context.Canceled {
+		t.Fatalf("first waiter = %v, want context.Canceled", err)
+	}
+	if err := <-second; err != nil {
+		t.Fatalf("second waiter = %v, want the handed-on slot", err)
+	}
+	q.release()
+	if running, waiting := q.depth(); running != 0 || waiting != 0 {
+		t.Fatalf("queue leaked state: running=%d waiting=%d", running, waiting)
 	}
 }

@@ -28,28 +28,14 @@ import (
 type Config struct {
 	// CacheBytes is the in-memory result-cache budget in bytes, weighted
 	// by each plan's approximate resident size (default 256 MiB; negative
-	// disables the memory tier).
+	// disables caching).
 	CacheBytes int64
-	// CacheDir enables the persistent result tier: computed plans are
-	// spooled content-addressed under this directory and survive restarts
-	// (empty disables the disk tier).
-	CacheDir string
-	// CacheDiskBytes is the disk tier's byte budget (default 1 GiB).
-	CacheDiskBytes int64
-	// CacheFS overrides the disk tier's filesystem (nil = the real one);
-	// the chaos harness injects faults here.
-	CacheFS jobs.FS
-	// Tenants enables multi-tenant admission: requests must carry one of
-	// these tenants' API keys (Authorization: Bearer or X-API-Key), slots
-	// are granted by weighted fair scheduling, and per-tenant quotas
-	// apply. Empty leaves the server open — every request runs as the
-	// anonymous weight-1 tenant.
-	Tenants []Tenant
 	// MaxConcurrent caps the partition jobs computing at once (default
 	// runtime.GOMAXPROCS(0)).
 	MaxConcurrent int
-	// MaxQueue caps the requests waiting for a job slot (default 64);
-	// beyond it requests are rejected with 503.
+	// MaxQueue caps the requests waiting for a job slot (default 64;
+	// negative means none may wait); they are granted slots in arrival
+	// order, and beyond the cap requests are rejected with 503.
 	MaxQueue int
 	// MaxWorkersPerJob clamps the per-request worker budget (default
 	// runtime.GOMAXPROCS(0)). A request's workers parameter can lower but
@@ -81,9 +67,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 256 << 20
 	}
-	if c.CacheDiskBytes <= 0 {
-		c.CacheDiskBytes = 1 << 30
-	}
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = runtime.GOMAXPROCS(0)
 	}
@@ -111,49 +94,36 @@ func (c Config) withDefaults() Config {
 // Server hosts the partition pipeline behind HTTP. Create with New; the
 // zero value is not usable.
 type Server struct {
-	cfg     Config
-	rec     *obs.Recorder
-	cache   *resultCache
-	disk    *diskStore // nil without Config.CacheDir
-	queue   *fairQueue
-	tenants *tenantRegistry // nil on an open server
-	mux     *http.ServeMux
+	cfg   Config
+	rec   *obs.Recorder
+	cache *resultCache
+	queue *slotQueue
+	mux   *http.ServeMux
 
 	reqs         *obs.Counter
 	completed    *obs.Counter
 	rejected     *obs.Counter
 	disconnected *obs.Counter
 	timedout     *obs.Counter
-	unauthorized *obs.Counter
 	badReq       *obs.Counter
 }
 
 // New returns a server with the config's defaults applied. The error is
-// non-nil only when the persistent cache tier (Config.CacheDir) cannot be
-// opened.
+// always nil.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		rec:     cfg.Obs,
-		cache:   newResultCache(cfg.CacheBytes, cfg.Obs),
-		queue:   newFairQueue(cfg.MaxConcurrent, cfg.MaxQueue),
-		tenants: newTenantRegistry(cfg.Tenants),
+		cfg:   cfg,
+		rec:   cfg.Obs,
+		cache: newResultCache(cfg.CacheBytes, cfg.Obs),
+		queue: newSlotQueue(cfg.MaxConcurrent, cfg.MaxQueue),
 
 		reqs:         cfg.Obs.Counter("server.requests"),
 		completed:    cfg.Obs.Counter("server.jobs.completed"),
 		rejected:     cfg.Obs.Counter("server.jobs.rejected"),
 		disconnected: cfg.Obs.Counter("server.jobs.disconnected"),
 		timedout:     cfg.Obs.Counter("server.jobs.timedout"),
-		unauthorized: cfg.Obs.Counter("server.requests.unauthorized"),
 		badReq:       cfg.Obs.Counter("server.requests.bad"),
-	}
-	if cfg.CacheDir != "" {
-		disk, err := openDiskStore(cfg.CacheDir, cfg.CacheDiskBytes, cfg.CacheFS, cfg.Obs)
-		if err != nil {
-			return nil, err
-		}
-		s.disk = disk
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/partition", s.handlePartition)
@@ -212,51 +182,6 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 		return err
 	}
 	return s.Serve(ctx, ln)
-}
-
-// authorize resolves the request's tenant, answering 401 itself when the
-// server enforces keys and the request carries none it knows. Operational
-// endpoints (healthz, metrics, pprof) stay open by not calling this.
-func (s *Server) authorize(w http.ResponseWriter, r *http.Request) (*Tenant, bool) {
-	ten, err := s.tenants.resolve(r)
-	if err != nil {
-		s.unauthorized.Inc()
-		w.Header().Set("WWW-Authenticate", `Bearer realm="xhybridd"`)
-		s.errorJSON(w, http.StatusUnauthorized, err)
-		return nil, false
-	}
-	return ten, true
-}
-
-// tenantCounter resolves one per-tenant counter, e.g.
-// server.tenant.acme.completed.
-func (s *Server) tenantCounter(ten *Tenant, what string) *obs.Counter {
-	return s.rec.Counter("server.tenant." + ten.ID + "." + what)
-}
-
-// cacheGet probes the two cache tiers in order: the in-memory LRU, then
-// the persistent store (promoting a disk hit back into memory so repeat
-// traffic stays off the disk).
-func (s *Server) cacheGet(digest string) (*xhybrid.Plan, bool) {
-	if plan, ok := s.cache.get(digest); ok {
-		return plan, true
-	}
-	if s.disk == nil {
-		return nil, false
-	}
-	plan, ok := s.disk.get(digest)
-	if ok {
-		s.cache.put(digest, plan)
-	}
-	return plan, ok
-}
-
-// cachePut stores a fresh plan in both tiers.
-func (s *Server) cachePut(digest string, plan *xhybrid.Plan) {
-	s.cache.put(digest, plan)
-	if s.disk != nil {
-		s.disk.put(digest, plan)
-	}
 }
 
 // requestOptions is the decoded query-string configuration of one request.
@@ -471,11 +396,6 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		s.errorJSON(w, http.StatusMethodNotAllowed, errors.New("server: POST required"))
 		return
 	}
-	ten, ok := s.authorize(w, r)
-	if !ok {
-		return
-	}
-	s.tenantCounter(ten, "requests").Inc()
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	ro, err := parseOptions(r.URL.Query())
 	if err != nil {
@@ -496,35 +416,27 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	if plan, ok := s.cacheGet(digest); ok {
-		s.tenantCounter(ten, "completed").Inc()
+	if plan, ok := s.cache.get(digest); ok {
 		s.writePlan(w, r, ro, x, digest, plan, true, start)
 		return
 	}
 
-	// Admission: one bounded, weighted-fair wait for a job slot under the
-	// request context.
-	if err := s.queue.acquire(r.Context(), ten); err != nil {
-		switch {
-		case errors.Is(err, errQueueFull):
+	// Admission: one bounded, first-come first-served wait for a job slot
+	// under the request context.
+	if err := s.queue.acquire(r.Context()); err != nil {
+		if errors.Is(err, errQueueFull) {
 			s.rejected.Inc()
-			s.tenantCounter(ten, "rejected").Inc()
 			w.Header().Set("Retry-After", "1")
 			s.errorJSON(w, http.StatusServiceUnavailable, err)
-		case errors.Is(err, errTenantBusy):
-			s.rejected.Inc()
-			s.tenantCounter(ten, "rejected").Inc()
-			w.Header().Set("Retry-After", "1")
-			s.errorJSON(w, http.StatusTooManyRequests, err)
-		default:
-			// The wait ended with the request context: the client hung up
-			// (or its own deadline passed). Nobody reads the body, so skip
-			// the doomed write.
-			s.disconnected.Inc()
+			return
 		}
+		// The wait ended with the request context: the client hung up (or
+		// its own deadline passed). Nobody reads the body, so skip the
+		// doomed write.
+		s.disconnected.Inc()
 		return
 	}
-	defer s.queue.release(ten)
+	defer s.queue.release()
 
 	ctx := r.Context()
 	if s.cfg.JobTimeout > 0 {
@@ -558,9 +470,8 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.cachePut(digest, plan)
+	s.cache.put(digest, plan)
 	s.completed.Inc()
-	s.tenantCounter(ten, "completed").Inc()
 	s.writePlan(w, r, ro, x, digest, plan, false, start)
 }
 
@@ -600,11 +511,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.errorJSON(w, http.StatusMethodNotAllowed, errors.New("server: POST required"))
 		return
 	}
-	ten, ok := s.authorize(w, r)
-	if !ok {
-		return
-	}
-	s.tenantCounter(ten, "requests").Inc()
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	x, err := readXMap(r, s.cfg.MaxBodyBytes)
 	if err != nil {
@@ -631,16 +537,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.rec.Set("server.queue.waiting", waiting)
 	s.rec.Set("server.cache.entries", int64(s.cache.len()))
 	s.rec.Set("server.cache.bytes", s.cache.size())
-	if s.disk != nil {
-		n, bytes := s.disk.stats()
-		s.rec.Set("server.cache.disk.entries", int64(n))
-		s.rec.Set("server.cache.disk.bytes", bytes)
-	}
-	for _, ten := range s.cfg.Tenants {
-		tr, tw := s.queue.tenantDepth(ten.ID)
-		s.rec.Set("server.tenant."+ten.ID+".running", tr)
-		s.rec.Set("server.tenant."+ten.ID+".waiting", tw)
-	}
 	if s.cfg.Jobs != nil {
 		jr, jw := s.cfg.Jobs.Depth()
 		s.rec.Set("jobs.queue.running", jr)

@@ -166,33 +166,33 @@ func TestCacheSharedAcrossFormats(t *testing.T) {
 // TestJobQueueBounds unit-tests the admission controller: concurrency and
 // wait bounds, rejection, and context-aware waiting.
 func TestJobQueueBounds(t *testing.T) {
-	q := newFairQueue(1, 0)
-	if err := q.acquire(context.Background(), anonTenant); err != nil {
+	q := newSlotQueue(1, 0)
+	if err := q.acquire(context.Background()); err != nil {
 		t.Fatalf("first acquire: %v", err)
 	}
-	if err := q.acquire(context.Background(), anonTenant); err != errQueueFull {
+	if err := q.acquire(context.Background()); err != errQueueFull {
 		t.Fatalf("overflow acquire = %v, want errQueueFull", err)
 	}
-	q.release(anonTenant)
-	if err := q.acquire(context.Background(), anonTenant); err != nil {
+	q.release()
+	if err := q.acquire(context.Background()); err != nil {
 		t.Fatalf("acquire after release: %v", err)
 	}
-	q.release(anonTenant)
+	q.release()
 
 	// With wait capacity, a canceled context aborts the wait.
-	q = newFairQueue(1, 1)
-	if err := q.acquire(context.Background(), anonTenant); err != nil {
+	q = newSlotQueue(1, 1)
+	if err := q.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := q.acquire(ctx, anonTenant); err != context.Canceled {
+	if err := q.acquire(ctx); err != context.Canceled {
 		t.Fatalf("canceled wait = %v, want context.Canceled", err)
 	}
 	if _, waiting := q.depth(); waiting != 0 {
 		t.Fatalf("canceled waiter still counted: waiting = %d", waiting)
 	}
-	q.release(anonTenant)
+	q.release()
 }
 
 // TestQueueFullHTTP drives the rejection path end to end: with one slot
@@ -200,10 +200,10 @@ func TestJobQueueBounds(t *testing.T) {
 // rejection counter moves.
 func TestQueueFullHTTP(t *testing.T) {
 	s := newTestServer(t, Config{MaxConcurrent: 1, MaxQueue: -1})
-	if err := s.queue.acquire(context.Background(), anonTenant); err != nil {
+	if err := s.queue.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer s.queue.release(anonTenant)
+	defer s.queue.release()
 	w := post(t, s, "/v1/partition?m=10&q=2", fixtureBody(t), nil)
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", w.Code)
