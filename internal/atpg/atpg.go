@@ -123,11 +123,41 @@ func (g *Generator) bit() logic.V {
 // Pattern returns one fully specified pseudo-random vector of width n.
 func (g *Generator) Pattern(n int) logic.Vector {
 	v := make(logic.Vector, n)
-	for i := range v {
+	i := 0
+	if g.weightDen == 2 && g.weightNum == 1 {
+		// Eight unweighted bits at a time: see byteStep.
+		for ; i+8 <= n; i += 8 {
+			s := g.lfsr.state
+			top := s >> 24
+			for k := 0; k < 8; k++ {
+				v[i+k] = logic.V(top >> uint(7-k) & 1)
+			}
+			g.lfsr.state = (s<<8)&0xFFFFFFFF ^ byteStep[top]
+		}
+	}
+	for ; i < n; i++ {
 		v[i] = g.bit()
 	}
 	return v
 }
+
+// byteStep[b] is the Generator LFSR's feedback over eight clocks from a
+// state whose top byte is b. Each NextBit returns the bit that leaves the
+// top of the register, and the feedback polynomial (x^32 + x^7 + x^6 +
+// x^2 + 1) reaches only bits 0-14 within eight clocks, so eight bits come
+// out as the state's top byte, most significant first, and the state
+// after them is (s<<8) ^ byteStep[s>>24].
+var byteStep = func() (t [256]uint64) {
+	l := MustNewLFSR(32, 1)
+	for b := range t {
+		l.state = uint64(b) << 24
+		for k := 0; k < 8; k++ {
+			l.NextBit()
+		}
+		t[b] = l.state
+	}
+	return t
+}()
 
 // Patterns returns k vectors of width n.
 func (g *Generator) Patterns(k, n int) []logic.Vector {

@@ -122,3 +122,25 @@ func TestGenerateStimuli(t *testing.T) {
 		t.Fatal("wrong widths")
 	}
 }
+
+// TestPatternMatchesBitLoop: the byte-at-a-time draw yields exactly the
+// bits a NextBit loop over the same 32-bit LFSR does, for widths that leave
+// a remainder of every size mod 8 and for seeds including the lockup seed
+// 0, across consecutive patterns of one generator.
+func TestPatternMatchesBitLoop(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 7, 0xDEADBEEF, 1 << 31} {
+		g := NewGenerator(seed)
+		ref := MustNewLFSR(32, seed)
+		for _, n := range []int{1, 3, 7, 8, 9, 15, 16, 17, 63, 64, 100, 257} {
+			got := g.Pattern(n)
+			for i, v := range got {
+				if want := logic.FromBit(ref.NextBit()); v != want {
+					t.Fatalf("seed %#x width %d: bit %d = %v, NextBit loop gives %v", seed, n, i, v, want)
+				}
+			}
+		}
+		if g.lfsr.State() != ref.State() {
+			t.Fatalf("seed %#x: state %#x after the patterns, NextBit loop %#x", seed, g.lfsr.State(), ref.State())
+		}
+	}
+}

@@ -7,11 +7,16 @@
 // correlated across MISR inputs: the XOR of any set containing an unknown
 // is a single fresh unknown, which the symbolic X-canceling machinery
 // tracks as one symbol.
+//
+// A tree has at most 64 outputs, the widest MISR, so one shift cycle's
+// output fits a pair of words: the X plane and the known-value plane (see
+// Fold).
 package compactor
 
 import (
 	"fmt"
 
+	"xhybrid/internal/gf2"
 	"xhybrid/internal/logic"
 	"xhybrid/internal/scan"
 )
@@ -34,22 +39,12 @@ func NewModulo(chains, outputs int) (*XORTree, error) {
 	if outputs > chains {
 		return nil, fmt.Errorf("compactor: %d outputs exceed %d chains", outputs, chains)
 	}
+	if outputs > 64 {
+		return nil, fmt.Errorf("compactor: %d outputs exceed the 64 inputs of the widest MISR", outputs)
+	}
 	t := &XORTree{group: make([]int, chains), outputs: outputs}
 	for c := range t.group {
 		t.group[c] = c % outputs
-	}
-	return t, nil
-}
-
-// NewBlock builds a blocked tree: contiguous runs of chains share an output.
-func NewBlock(chains, outputs int) (*XORTree, error) {
-	t, err := NewModulo(chains, outputs)
-	if err != nil {
-		return nil, err
-	}
-	per := (chains + outputs - 1) / outputs
-	for c := range t.group {
-		t.group[c] = c / per
 	}
 	return t, nil
 }
@@ -87,32 +82,65 @@ func (t *XORTree) Apply(slice logic.Vector) (logic.Vector, error) {
 }
 
 // CompactResponse compacts a full response into the per-cycle MISR input
-// slices (ChainLen slices of width Outputs).
+// slices (ChainLen slices of width Outputs). It is Fold with nothing masked,
+// unpacked.
 func (t *XORTree) CompactResponse(r scan.Response) ([]logic.Vector, error) {
-	if r.Geom.Chains != len(t.group) {
-		return nil, fmt.Errorf("compactor: response has %d chains, tree has %d", r.Geom.Chains, len(t.group))
+	known := make([]uint64, r.Geom.ChainLen)
+	xs := make([]uint64, r.Geom.ChainLen)
+	if err := t.Fold(r, gf2.Vec{}, known, xs); err != nil {
+		return nil, err
 	}
-	out := make([]logic.Vector, r.Geom.ChainLen)
-	for cyc := 0; cyc < r.Geom.ChainLen; cyc++ {
-		v, err := t.Apply(r.Slice(cyc))
-		if err != nil {
-			return nil, err
+	out := make([]logic.Vector, len(known))
+	for cyc := range out {
+		v := make(logic.Vector, t.outputs)
+		for o := range v {
+			v[o] = logic.V(known[cyc]>>uint(o)&1 | (xs[cyc]>>uint(o)&1)<<1)
 		}
 		out[cyc] = v
 	}
 	return out, nil
 }
 
-// XCount returns how many X's a response presents to the MISR after
-// compaction (several X's folding into one output in one cycle count once).
-func (t *XORTree) XCount(r scan.Response) (int, error) {
-	slices, err := t.CompactResponse(r)
-	if err != nil {
-		return 0, err
+// Fold compacts a response into per-shift-cycle bit-planes: after the call,
+// bit o of xs[t] is set iff output o is X in cycle t, and bit o of known[t]
+// is output o's known value (the XOR of its inputs; zero where X). Cells set
+// in masked are forced to 0 first, as the mask stage's AND gates do; an
+// empty masked vector masks nothing. known and xs need ChainLen words.
+//
+// The logic encoding does the plane split without branches: One (1) and
+// X (2) put their value's low bit on the known plane and its high bit on
+// the X plane.
+func (t *XORTree) Fold(r scan.Response, masked gf2.Vec, known, xs []uint64) error {
+	g := r.Geom
+	if g.Chains != len(t.group) {
+		return fmt.Errorf("compactor: response has %d chains, tree has %d", g.Chains, len(t.group))
 	}
-	n := 0
-	for _, s := range slices {
-		n += s.CountX()
+	if len(r.Values) != g.Cells() {
+		return fmt.Errorf("compactor: response has %d values, want %d", len(r.Values), g.Cells())
 	}
-	return n, nil
+	if masked.Len() != 0 && masked.Len() != g.Cells() {
+		return fmt.Errorf("compactor: mask width %d vs %d cells", masked.Len(), g.Cells())
+	}
+	if len(known) < g.ChainLen || len(xs) < g.ChainLen {
+		return fmt.Errorf("compactor: %d/%d plane words for %d shift cycles", len(known), len(xs), g.ChainLen)
+	}
+	known, xs = known[:g.ChainLen], xs[:g.ChainLen]
+	clear(known)
+	clear(xs)
+	next := masked.NextSet(0)
+	for c, o := range t.group {
+		base := c * g.ChainLen
+		for cyc, v := range r.Values[base : base+g.ChainLen] {
+			if base+cyc == next {
+				next = masked.NextSet(next + 1)
+				continue
+			}
+			known[cyc] ^= uint64(v&1) << uint(o)
+			xs[cyc] |= uint64(v>>1) << uint(o)
+		}
+	}
+	for cyc, x := range xs {
+		known[cyc] &^= x
+	}
+	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"xhybrid/internal/gf2"
 	"xhybrid/internal/logic"
 	"xhybrid/internal/scan"
 )
@@ -19,8 +20,8 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := NewModulo(4, 8); err == nil {
 		t.Fatal("accepted outputs > chains")
 	}
-	if _, err := NewBlock(8, 0); err == nil {
-		t.Fatal("block accepted zero outputs")
+	if _, err := NewModulo(100, 65); err == nil {
+		t.Fatal("accepted more outputs than a MISR has inputs")
 	}
 }
 
@@ -41,30 +42,6 @@ func TestModuloGrouping(t *testing.T) {
 	for c := 0; c < 10; c++ {
 		if tr.Group(c) != c%4 {
 			t.Fatalf("Group(%d) = %d", c, tr.Group(c))
-		}
-	}
-}
-
-func TestBlockGroupingCoversAllOutputs(t *testing.T) {
-	tr, err := NewBlock(10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int]bool{}
-	for c := 0; c < 10; c++ {
-		g := tr.Group(c)
-		if g < 0 || g >= 4 {
-			t.Fatalf("Group(%d) = %d out of range", c, g)
-		}
-		seen[g] = true
-	}
-	if len(seen) != 4 {
-		t.Fatalf("block tree uses %d of 4 outputs", len(seen))
-	}
-	// Blocks are contiguous.
-	for c := 1; c < 10; c++ {
-		if tr.Group(c) < tr.Group(c-1) {
-			t.Fatal("block groups not monotone")
 		}
 	}
 }
@@ -158,17 +135,81 @@ func TestCompactResponseAndXCount(t *testing.T) {
 	if len(slices) != 3 || len(slices[0]) != 2 {
 		t.Fatal("slice dims wrong")
 	}
-	n, err := tr.XCount(r)
-	if err != nil {
-		t.Fatal(err)
+	n := 0
+	for _, s := range slices {
+		n += s.CountX()
 	}
 	if n != 2 {
-		t.Fatalf("XCount = %d, want 2 (two X's fold into one output)", n)
+		t.Fatalf("compacted X count = %d, want 2 (two X's fold into one output)", n)
 	}
 	// Geometry mismatch errors.
 	if _, err := tr.CompactResponse(scan.NewResponse(scan.MustGeometry(3, 3))); err != nil {
 		// expected
 	} else {
 		t.Fatal("accepted mismatched response")
+	}
+}
+
+// TestFoldMatchesApply: folding a response under a mask gives, cycle by
+// cycle, what Apply gives for the shift slices of the response with its
+// masked cells forced to 0, and nothing above the tree's outputs.
+func TestFoldMatchesApply(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 60; trial++ {
+		chains := 1 + r.Intn(100)
+		outputs := 1 + r.Intn(min(chains, 64))
+		g := scan.MustGeometry(chains, 1+r.Intn(20))
+		resp := scan.NewResponse(g)
+		for c := range resp.Values {
+			resp.Values[c] = logic.V(r.Intn(3))
+		}
+		var mask gf2.Vec
+		if trial%4 != 0 {
+			mask = gf2.NewVec(g.Cells())
+			for c := 0; c < g.Cells(); c++ {
+				if r.Intn(5) == 0 {
+					mask.Set(c)
+				}
+			}
+		}
+		tr := MustModulo(chains, outputs)
+		known := make([]uint64, g.ChainLen)
+		xs := make([]uint64, g.ChainLen)
+		if err := tr.Fold(resp, mask, known, xs); err != nil {
+			t.Fatal(err)
+		}
+		masked := resp.Clone()
+		mask.ForEach(func(c int) { masked.Values[c] = logic.Zero })
+		for cyc := 0; cyc < g.ChainLen; cyc++ {
+			want, err := tr.Apply(masked.Slice(cyc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for o, v := range want {
+				if got := logic.V(known[cyc]>>uint(o)&1 | (xs[cyc]>>uint(o)&1)<<1); got != v {
+					t.Fatalf("trial %d cycle %d output %d: fold %v, Apply %v", trial, cyc, o, got, v)
+				}
+			}
+			if (known[cyc]|xs[cyc])>>uint(outputs) != 0 {
+				t.Fatalf("trial %d cycle %d: planes %#x/%#x set bits above %d outputs", trial, cyc, known[cyc], xs[cyc], outputs)
+			}
+		}
+	}
+}
+
+func TestFoldValidation(t *testing.T) {
+	tr := MustModulo(4, 2)
+	resp := scan.NewResponse(scan.MustGeometry(4, 3))
+	planes := func(n int) ([]uint64, []uint64) { return make([]uint64, n), make([]uint64, n) }
+	known, xs := planes(3)
+	if err := tr.Fold(resp, gf2.NewVec(11), known, xs); err == nil {
+		t.Fatal("accepted a mask narrower than the response")
+	}
+	if err := tr.Fold(scan.NewResponse(scan.MustGeometry(3, 3)), gf2.Vec{}, known, xs); err == nil {
+		t.Fatal("accepted a response with other chains")
+	}
+	known, xs = planes(2)
+	if err := tr.Fold(resp, gf2.Vec{}, known, xs); err == nil {
+		t.Fatal("accepted planes shorter than the chains")
 	}
 }

@@ -60,14 +60,17 @@ func Collapse(c *netlist.Circuit, faults []Def) []Class {
 		}
 	}
 
-	index := make(map[Def]int)
-	var classes []Class
+	// index[2*node+sa] is the class of representative {node, sa} plus one;
+	// zero means no class yet.
+	index := make([]int32, 2*c.NumGates())
+	classes := make([]Class, 0, len(faults))
 	for _, f := range faults {
 		r := root(f)
-		i, ok := index[r]
-		if !ok {
+		key := 2*r.Node + int(r.SA)
+		i := int(index[key]) - 1
+		if i < 0 {
 			i = len(classes)
-			index[r] = i
+			index[key] = int32(i + 1)
 			classes = append(classes, Class{Rep: r})
 		}
 		classes[i].Members = append(classes[i].Members, f)

@@ -124,3 +124,50 @@ func TestCollapsedMembersEquivalent(t *testing.T) {
 		t.Fatal("Representatives wrong length")
 	}
 }
+
+// TestCollapseOrder: every fault lands in exactly one class, in input order
+// within it, representatives are distinct, and classes come in the order of
+// their first member's appearance in the input.
+func TestCollapseOrder(t *testing.T) {
+	c, err := netlist.Generate(netlist.GenConfig{
+		Name: "order", ScanCells: 96, PIs: 6, XClusters: 2, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := AllFaults(c)
+	// Reverse the list so input order differs from node order.
+	for i, j := 0, len(all)-1; i < j; i, j = i+1, j-1 {
+		all[i], all[j] = all[j], all[i]
+	}
+	pos := make(map[Def]int, len(all))
+	for i, f := range all {
+		pos[f] = i
+	}
+	classes := Collapse(c, all)
+	if len(classes) >= len(all) {
+		t.Fatalf("no collapsing happened: %d classes for %d faults", len(classes), len(all))
+	}
+	reps := make(map[Def]bool)
+	seen, lastFirst := 0, -1
+	for _, cl := range classes {
+		if reps[cl.Rep] {
+			t.Fatalf("representative %v heads two classes", cl.Rep)
+		}
+		reps[cl.Rep] = true
+		if first := pos[cl.Members[0]]; first <= lastFirst {
+			t.Fatalf("class %v first appears at %d, after a class first seen at %d", cl.Rep, first, lastFirst)
+		} else {
+			lastFirst = first
+		}
+		for k := 1; k < len(cl.Members); k++ {
+			if pos[cl.Members[k]] <= pos[cl.Members[k-1]] {
+				t.Fatalf("class %v members out of input order", cl.Rep)
+			}
+		}
+		seen += len(cl.Members)
+	}
+	if seen != len(all) {
+		t.Fatalf("classes hold %d faults, input has %d", seen, len(all))
+	}
+}

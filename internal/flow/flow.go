@@ -14,6 +14,7 @@ package flow
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"xhybrid/internal/compactor"
 	"xhybrid/internal/core"
@@ -105,14 +106,43 @@ func Assemble(res *core.Result, geom scan.Geometry, cancel xcancel.Config, tcfg 
 	return prog, nil
 }
 
-// partitionIndex returns the partition id containing pattern p, or -1.
-func (prog *Program) partitionIndex(p int) int {
-	for i, part := range prog.Partitions {
-		if part.Patterns.Get(p) {
-			return i
+// partitionOf maps each of n patterns to the partition that holds it. A
+// plan whose partitions overlap, select a pattern beyond n, or whose
+// PatternOrder is not a permutation of the n patterns is an error: a
+// pattern in two partitions would replay under one mask, and a repeated
+// pattern could hide a skipped one.
+func (prog *Program) partitionOf(n int) ([]int, error) {
+	if len(prog.PatternOrder) != n {
+		return nil, fmt.Errorf("flow: %d responses for %d planned patterns", n, len(prog.PatternOrder))
+	}
+	part := make([]int, n)
+	for p := range part {
+		part[p] = -1
+	}
+	for i, pt := range prog.Partitions {
+		for p := pt.Patterns.NextSet(0); p >= 0; p = pt.Patterns.NextSet(p + 1) {
+			switch {
+			case p >= n:
+				return nil, fmt.Errorf("flow: partition %d holds pattern %d of %d", i, p, n)
+			case part[p] >= 0:
+				return nil, fmt.Errorf("flow: pattern %d is in partitions %d and %d", p, part[p], i)
+			}
+			part[p] = i
 		}
 	}
-	return -1
+	seen := make([]bool, n)
+	for _, p := range prog.PatternOrder {
+		switch {
+		case p < 0 || p >= n:
+			return nil, fmt.Errorf("flow: pattern order names pattern %d of %d", p, n)
+		case seen[p]:
+			return nil, fmt.Errorf("flow: pattern order repeats pattern %d", p)
+		case part[p] < 0:
+			return nil, fmt.Errorf("flow: pattern %d in no partition", p)
+		}
+		seen[p] = true
+	}
+	return part, nil
 }
 
 // VerifyReport summarizes a hardware-model replay of the program.
@@ -150,16 +180,19 @@ type VerifyReport struct {
 
 // VerifyResponses replays the full response set through the program's
 // hardware models and holds the replay to the plan's accounting, setting
-// VerifyReport.Violation. The responses' geometry must match the program;
-// the compactor folds the chains onto the MISR inputs. The cycle/pattern
-// counters land on prog.Obs when set; the caller owns the replay's span.
-// A non-nil error means the replay could not run at all.
+// VerifyReport.Violation. The responses' geometry must match the program,
+// and its partitions must hold each response's pattern exactly once, in a
+// pattern order that applies every pattern once; the compactor folds the
+// chains onto the MISR inputs. The cycle/pattern counters land on prog.Obs
+// when set; the caller owns the replay's span. A non-nil error means the
+// replay could not run at all.
 func VerifyResponses(prog *Program, set *scan.ResponseSet) (*VerifyReport, error) {
 	if set.Geom != prog.Geom {
 		return nil, fmt.Errorf("flow: response geometry %v does not match program %v", set.Geom, prog.Geom)
 	}
-	if set.Patterns() != len(prog.PatternOrder) {
-		return nil, fmt.Errorf("flow: %d responses for %d planned patterns", set.Patterns(), len(prog.PatternOrder))
+	partOf, err := prog.partitionOf(set.Patterns())
+	if err != nil {
+		return nil, err
 	}
 	obsPatterns := prog.Obs.Counter("flow.patterns.replayed")
 	obsCycles := prog.Obs.Counter("flow.cycles.replayed")
@@ -173,38 +206,29 @@ func VerifyResponses(prog *Program, set *scan.ResponseSet) (*VerifyReport, error
 	}
 	canc.Observe(prog.Obs)
 	rep := &VerifyReport{}
+	known := make([]uint64, prog.Geom.ChainLen)
+	xs := make([]uint64, prog.Geom.ChainLen)
 	for _, p := range prog.PatternOrder {
 		r := set.Responses[p]
-		pi := prog.partitionIndex(p)
-		if pi < 0 {
-			return nil, fmt.Errorf("flow: pattern %d in no partition", p)
-		}
-		mask := prog.Partitions[pi].Mask
-		// Count the mask stage's effect before applying it.
-		var maskedHere, observableHere int
-		mask.Cells.ForEach(func(cell int) {
-			if r.Values[cell] == logic.X {
-				maskedHere++
-			} else {
-				observableHere++
-			}
-		})
-		rep.MaskedX += maskedHere
-		rep.ObservableMasked += observableHere
-		masked := mask.Apply(r)
-		slices, err := tree.CompactResponse(masked)
-		if err != nil {
+		mask := prog.Partitions[partOf[p]].Mask.Cells
+		if err := tree.Fold(r, mask, known, xs); err != nil {
 			return nil, err
 		}
-		for _, s := range slices {
-			rep.ResidualX += s.CountX()
-			if err := canc.Shift(s); err != nil {
-				return nil, err
+		// The fold forced the masked cells to 0; count what they held.
+		for cell := mask.NextSet(0); cell >= 0; cell = mask.NextSet(cell + 1) {
+			if r.Values[cell] == logic.X {
+				rep.MaskedX++
+			} else {
+				rep.ObservableMasked++
 			}
+		}
+		for cyc, x := range xs {
+			rep.ResidualX += bits.OnesCount64(x)
+			canc.ShiftWord(known[cyc], x)
 		}
 		rep.PatternsApplied++
 		obsPatterns.Inc()
-		obsCycles.Add(int64(len(slices)))
+		obsCycles.Add(int64(len(xs)))
 	}
 	res := canc.Finish()
 	rep.Halts = len(res.Halts)

@@ -220,6 +220,19 @@ func TestVerifyValidation(t *testing.T) {
 	if _, err := VerifyResponses(prog, short); err == nil {
 		t.Fatal("accepted wrong pattern count")
 	}
+	// A pattern in two partitions would replay under only one mask.
+	overlap := *prog
+	overlap.Partitions = append(append([]core.Partition{}, prog.Partitions...), prog.Partitions[0])
+	if _, err := VerifyResponses(&overlap, set); err == nil || !strings.Contains(err.Error(), "is in partitions") {
+		t.Fatalf("overlapping partitions: err = %v", err)
+	}
+	// A repeated pattern in the order hides a skipped one.
+	repeat := *prog
+	repeat.PatternOrder = append([]int{}, prog.PatternOrder...)
+	repeat.PatternOrder[1] = repeat.PatternOrder[0]
+	if _, err := VerifyResponses(&repeat, set); err == nil || !strings.Contains(err.Error(), "repeats pattern") {
+		t.Fatalf("order with a repeated pattern: err = %v", err)
+	}
 }
 
 func TestBuildPropagatesErrors(t *testing.T) {

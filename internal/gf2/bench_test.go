@@ -41,19 +41,6 @@ func BenchmarkNullCombinations(b *testing.B) {
 	}
 }
 
-func BenchmarkSolve(b *testing.B) {
-	m := benchMat(128, 160, 4)
-	r := rand.New(rand.NewSource(5))
-	x := randVec(r, 160)
-	rhs := m.MulVec(x)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := Solve(m, rhs); !ok {
-			b.Fatal("unsolvable")
-		}
-	}
-}
-
 func BenchmarkPopCountAnd(b *testing.B) {
 	r := rand.New(rand.NewSource(6))
 	x := randVec(r, 3000)

@@ -68,72 +68,3 @@ func NullCombinations(a Mat) []Vec {
 	}
 	return out
 }
-
-// Solve finds one solution x with a*x = b, or ok=false if none exists.
-// a has shape m x n, b has length m, and x has length n.
-func Solve(a Mat, b Vec) (x Vec, ok bool) {
-	if b.Len() != a.Rows() {
-		panic("gf2: Solve dimension mismatch")
-	}
-	e := Eliminate(a)
-	// Transform b the same way: b' = T * b.
-	bp := e.T.MulVec(b)
-	x = NewVec(a.Cols())
-	for i := 0; i < e.Rank; i++ {
-		if bp.Get(i) {
-			x.Set(e.PivotCols[i])
-		}
-	}
-	// Zero rows of R must have zero b' entries for consistency.
-	for i := e.Rank; i < a.Rows(); i++ {
-		if bp.Get(i) {
-			return Vec{}, false
-		}
-	}
-	return x, true
-}
-
-// NullSpaceBasis returns a basis of {x : a*x = 0} (the kernel acting on
-// columns). There are Cols(a) - Rank(a) basis vectors.
-func NullSpaceBasis(a Mat) []Vec {
-	e := Eliminate(a)
-	isPivot := make([]bool, a.Cols())
-	pivotRow := make([]int, a.Cols())
-	for i, c := range e.PivotCols {
-		isPivot[c] = true
-		pivotRow[c] = i
-	}
-	var basis []Vec
-	for free := 0; free < a.Cols(); free++ {
-		if isPivot[free] {
-			continue
-		}
-		v := NewVec(a.Cols())
-		v.Set(free)
-		for c := 0; c < a.Cols(); c++ {
-			if isPivot[c] && e.R.rows[pivotRow[c]].Get(free) {
-				v.Set(c)
-			}
-		}
-		basis = append(basis, v)
-	}
-	return basis
-}
-
-// Invert returns the inverse of a square matrix, or ok=false if singular.
-func Invert(a Mat) (inv Mat, ok bool) {
-	if a.Rows() != a.Cols() {
-		panic("gf2: Invert of non-square matrix")
-	}
-	e := Eliminate(a)
-	if e.Rank != a.Rows() {
-		return Mat{}, false
-	}
-	// R is a row-permuted identity for full-rank reduced echelon form of a
-	// square matrix; reorder T's rows so that inv * a == I.
-	inv = NewMat(a.Rows(), a.Rows())
-	for i, c := range e.PivotCols {
-		inv.rows[c] = e.T.rows[i].Clone()
-	}
-	return inv, true
-}

@@ -85,81 +85,6 @@ func cloneAll(vs []Vec) []Vec {
 	return out
 }
 
-func TestSolve(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		rows, cols := 1+r.Intn(12), 1+r.Intn(12)
-		a := randMat(r, rows, cols)
-		want := randVec(r, cols)
-		b := a.MulVec(want)
-		x, ok := Solve(a, b)
-		if !ok {
-			return false // b is in the column space by construction
-		}
-		return a.MulVec(x).Equal(b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSolveInconsistent(t *testing.T) {
-	a := ParseMat("10", "10") // rows identical
-	b := ParseVec("10")       // demands different results for identical rows
-	if _, ok := Solve(a, b); ok {
-		t.Fatal("Solve accepted inconsistent system")
-	}
-}
-
-func TestNullSpaceBasis(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		rows, cols := 1+r.Intn(12), 1+r.Intn(12)
-		a := randMat(r, rows, cols)
-		basis := NullSpaceBasis(a)
-		if len(basis) != cols-Rank(a) {
-			return false
-		}
-		for _, x := range basis {
-			if x.IsZero() || !a.MulVec(x).IsZero() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestInvert(t *testing.T) {
-	// Build a random invertible matrix as a product of elementary ops on I.
-	r := rand.New(rand.NewSource(42))
-	n := 8
-	for trial := 0; trial < 20; trial++ {
-		a := Identity(n)
-		for k := 0; k < 40; k++ {
-			i, j := r.Intn(n), r.Intn(n)
-			if i != j {
-				a.Row(i).Xor(a.Row(j))
-			}
-		}
-		inv, ok := Invert(a)
-		if !ok {
-			t.Fatal("product of elementary ops reported singular")
-		}
-		if !inv.Mul(a).Equal(Identity(n)) {
-			t.Fatal("inv * a != I")
-		}
-		if !a.Mul(inv).Equal(Identity(n)) {
-			t.Fatal("a * inv != I")
-		}
-	}
-	if _, ok := Invert(NewMat(3, 3)); ok {
-		t.Fatal("zero matrix reported invertible")
-	}
-}
-
 // The Figure 3 fixture from the paper: a 6-bit MISR with 4 X symbols has the
 // X-dependence rows below (reconstructed from the printed M1..M6 equations);
 // Gaussian elimination must find exactly two X-free combinations, and

@@ -2,7 +2,9 @@ package misr
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
+	"strconv"
 	"strings"
 
 	"xhybrid/internal/gf2"
@@ -17,21 +19,25 @@ import (
 // any input — and dependences propagate linearly through the MISR update.
 // This reproduces the paper's Figure 2 symbolic simulation and provides the
 // X-dependence matrix consumed by Gaussian elimination (Figure 3).
+//
+// The register is linear, so the dependence of the m signature bits on one
+// symbol is an m-bit column that clocks through the same companion step as
+// the known part of the state. Symbolic keeps exactly that: one uint64
+// column per symbol, and a clock steps every column in place.
 type Symbolic struct {
 	cfg Config
 	// known is the contribution of known (constant) inputs to each bit.
 	known uint64
-	// deps[i] is the symbol-dependence set of signature bit i.
-	deps []gf2.Vec
-	// labels[s] names symbol s (e.g. "X1", "O3") for printed equations.
+	// cols[s] has bit i set iff signature bit i depends on symbol s.
+	cols []uint64
+	// labels[s] names symbol s (e.g. "X1", "O3") for printed equations; a
+	// missing or empty entry renders as the default "X<s+1>".
 	labels []string
-	// capSymbols is the current allocated width of the dependence vectors.
-	capSymbols int
-	cycles     int
+	cycles int
 }
 
 // NewSymbolic returns a symbolic MISR with initial capacity for the given
-// number of symbols (the vectors grow on demand).
+// number of symbols (the column slice grows on demand).
 func NewSymbolic(cfg Config, symbolCap int) (*Symbolic, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -39,12 +45,7 @@ func NewSymbolic(cfg Config, symbolCap int) (*Symbolic, error) {
 	if symbolCap < 1 {
 		symbolCap = 16
 	}
-	s := &Symbolic{cfg: cfg, capSymbols: symbolCap}
-	s.deps = make([]gf2.Vec, cfg.Size)
-	for i := range s.deps {
-		s.deps[i] = gf2.NewVec(symbolCap)
-	}
-	return s, nil
+	return &Symbolic{cfg: cfg, cols: make([]uint64, 0, symbolCap)}, nil
 }
 
 // MustNewSymbolic is NewSymbolic that panics on error.
@@ -60,48 +61,25 @@ func MustNewSymbolic(cfg Config, symbolCap int) *Symbolic {
 func (s *Symbolic) Config() Config { return s.cfg }
 
 // NumSymbols returns the number of symbols allocated so far.
-func (s *Symbolic) NumSymbols() int { return len(s.labels) }
+func (s *Symbolic) NumSymbols() int { return len(s.cols) }
 
 // Cycles returns the number of clocks applied since the last reset.
 func (s *Symbolic) Cycles() int { return s.cycles }
 
 // NewSymbol allocates a fresh symbol with the given label and returns its id.
 func (s *Symbolic) NewSymbol(label string) int {
-	id := len(s.labels)
-	s.labels = append(s.labels, label)
-	if id >= s.capSymbols {
-		s.grow(2*s.capSymbols + 1)
-	}
+	id := len(s.cols)
+	s.cols = append(s.cols, 0)
+	s.setLabel(id, label)
 	return id
-}
-
-func (s *Symbolic) grow(newCap int) {
-	for i := range s.deps {
-		nv := gf2.NewVec(newCap)
-		s.deps[i].ForEach(func(b int) { nv.Set(b) })
-		s.deps[i] = nv
-	}
-	s.capSymbols = newCap
 }
 
 // step advances the symbolic state one clock with zero input.
 func (s *Symbolic) step() {
 	s.known = s.cfg.step(s.known)
-	m := s.cfg.Size
-	carry := s.deps[m-1]
-	next := make([]gf2.Vec, m)
-	next[0] = gf2.NewVec(s.capSymbols)
-	if s.cfg.Poly&1 != 0 {
-		next[0].Xor(carry)
+	for j, c := range s.cols {
+		s.cols[j] = s.cfg.step(c)
 	}
-	for i := 1; i < m; i++ {
-		nv := s.deps[i-1].Clone()
-		if s.cfg.Poly>>uint(i)&1 != 0 {
-			nv.Xor(carry)
-		}
-		next[i] = nv
-	}
-	s.deps = next
 	s.cycles++
 }
 
@@ -122,10 +100,27 @@ func (s *Symbolic) Clock(inKnown uint64, inSyms []int) {
 		if sym < 0 {
 			continue
 		}
-		if sym >= len(s.labels) {
+		if sym >= len(s.cols) {
 			panic(fmt.Sprintf("misr: unknown symbol id %d", sym))
 		}
-		s.deps[i].Flip(sym)
+		s.cols[sym] ^= 1 << uint(i)
+	}
+}
+
+// ClockWord advances one cycle with a packed three-valued input: bit i of
+// xs marks stage i as X, and bit i of known is stage i's known value (it is
+// ignored where xs is set). Each X stage gets a fresh symbol in ascending
+// stage order, as ClockVector allocates them, so the new ids run upward
+// from NumSymbols() as it was before the call. Bits at or above the MISR
+// size must be zero.
+func (s *Symbolic) ClockWord(known, xs uint64) {
+	if (known|xs)&^s.cfg.mask() != 0 {
+		panic(fmt.Sprintf("misr: input %#x/%#x exceeds %d-bit MISR", known, xs, s.cfg.Size))
+	}
+	s.step()
+	s.known ^= known &^ xs
+	for ; xs != 0; xs &= xs - 1 {
+		s.cols = append(s.cols, xs&-xs)
 	}
 }
 
@@ -136,48 +131,62 @@ func (s *Symbolic) ClockVector(in logic.Vector, labelFn func(stage int) string) 
 	if len(in) != s.cfg.Size {
 		panic(fmt.Sprintf("misr: input width %d, want %d", len(in), s.cfg.Size))
 	}
-	var known uint64
-	syms := make([]int, s.cfg.Size)
-	for i := range syms {
-		syms[i] = -1
-	}
+	var known, xs uint64
 	for i, v := range in {
 		switch v {
 		case logic.One:
 			known |= 1 << uint(i)
-		case logic.Zero:
 		case logic.X:
-			label := ""
-			if labelFn != nil {
-				label = labelFn(i)
-			}
-			if label == "" {
-				label = fmt.Sprintf("X%d", len(s.labels)+1)
-			}
-			syms[i] = s.NewSymbol(label)
+			xs |= 1 << uint(i)
 		}
 	}
-	s.Clock(known, syms)
+	next := len(s.cols)
+	s.ClockWord(known, xs)
+	syms := make([]int, s.cfg.Size)
+	for i := range syms {
+		syms[i] = -1
+		if xs>>uint(i)&1 == 0 {
+			continue
+		}
+		syms[i] = next
+		if labelFn != nil {
+			s.setLabel(next, labelFn(i))
+		}
+		next++
+	}
 	return syms
+}
+
+// setLabel names symbol id; an empty label keeps the default.
+func (s *Symbolic) setLabel(id int, label string) {
+	if label == "" {
+		return
+	}
+	for len(s.labels) <= id {
+		s.labels = append(s.labels, "")
+	}
+	s.labels[id] = label
 }
 
 // Known returns the known-input contribution to the signature.
 func (s *Symbolic) Known() uint64 { return s.known }
 
+// Columns returns the dependence column of every symbol: bit i of
+// Columns()[j] is set iff signature bit i depends on symbol j. The slice is
+// the register's own storage, valid until the next clock or reset.
+func (s *Symbolic) Columns() []uint64 { return s.cols }
+
 // DependsOn reports whether signature bit i depends on symbol sym.
-func (s *Symbolic) DependsOn(i, sym int) bool { return s.deps[i].Get(sym) }
+func (s *Symbolic) DependsOn(i, sym int) bool { return s.cols[sym]>>uint(i)&1 == 1 }
 
 // Matrix returns the m x numSymbols dependence matrix: row i has bit j set
 // iff signature bit i depends on symbol j. Rows are copies.
 func (s *Symbolic) Matrix() gf2.Mat {
-	n := len(s.labels)
-	m := gf2.NewMat(s.cfg.Size, n)
-	for i := range s.deps {
-		s.deps[i].ForEach(func(b int) {
-			if b < n {
-				m.Set(i, b)
-			}
-		})
+	m := gf2.NewMat(s.cfg.Size, len(s.cols))
+	for j, c := range s.cols {
+		for ; c != 0; c &= c - 1 {
+			m.Set(bits.TrailingZeros64(c), j)
+		}
 	}
 	return m
 }
@@ -186,11 +195,12 @@ func (s *Symbolic) Matrix() gf2.Mat {
 // (columns in the given order). Used to isolate X symbols from O symbols.
 func (s *Symbolic) MatrixOf(symbols []int) gf2.Mat {
 	m := gf2.NewMat(s.cfg.Size, len(symbols))
-	for i := range s.deps {
-		for j, sym := range symbols {
-			if sym < len(s.labels) && s.deps[i].Get(sym) {
-				m.Set(i, j)
-			}
+	for j, sym := range symbols {
+		if sym >= len(s.cols) {
+			continue
+		}
+		for c := s.cols[sym]; c != 0; c &= c - 1 {
+			m.Set(bits.TrailingZeros64(c), j)
 		}
 	}
 	return m
@@ -200,8 +210,8 @@ func (s *Symbolic) MatrixOf(symbols []int) gf2.Mat {
 // prefix, in allocation order. Convenient for separating "X" from "O".
 func (s *Symbolic) SymbolsByPrefix(prefix string) []int {
 	var out []int
-	for id, l := range s.labels {
-		if strings.HasPrefix(l, prefix) {
+	for id := range s.cols {
+		if strings.HasPrefix(s.Label(id), prefix) {
 			out = append(out, id)
 		}
 	}
@@ -209,18 +219,23 @@ func (s *Symbolic) SymbolsByPrefix(prefix string) []int {
 }
 
 // Label returns the label of symbol id.
-func (s *Symbolic) Label(id int) string { return s.labels[id] }
+func (s *Symbolic) Label(id int) string {
+	if id < len(s.labels) && s.labels[id] != "" {
+		return s.labels[id]
+	}
+	return "X" + strconv.Itoa(id+1)
+}
 
 // Equation renders signature bit i as a human-readable linear equation in
 // the style of the paper's Figure 2, e.g. "M2 = X1 + O2 + X2 + X3 + O9".
 // Symbols appear sorted by label; a nonzero known contribution appends "+ 1".
 func (s *Symbolic) Equation(i int) string {
 	var terms []string
-	s.deps[i].ForEach(func(b int) {
-		if b < len(s.labels) {
-			terms = append(terms, s.labels[b])
+	for j, c := range s.cols {
+		if c>>uint(i)&1 == 1 {
+			terms = append(terms, s.Label(j))
 		}
-	})
+	}
 	sort.Slice(terms, func(a, b int) bool { return symbolLess(terms[a], terms[b]) })
 	if s.known>>uint(i)&1 == 1 {
 		terms = append(terms, "1")
@@ -258,36 +273,27 @@ func splitLabel(s string) (prefix string, num int) {
 }
 
 // Combine returns the known parity and combined symbol dependence of the
-// GF(2) combination of signature bits selected by sel (length Size).
+// GF(2) combination of signature bits selected by sel (length Size); deps
+// has one bit per symbol.
 func (s *Symbolic) Combine(sel gf2.Vec) (parity int, deps gf2.Vec) {
 	if sel.Len() != s.cfg.Size {
 		panic("misr: selection width mismatch")
 	}
-	deps = gf2.NewVec(s.capSymbols)
-	p := 0
-	sel.ForEach(func(i int) {
-		deps.Xor(s.deps[i])
-		p ^= int(s.known >> uint(i) & 1)
-	})
-	return p, deps
+	var w uint64
+	sel.ForEach(func(i int) { w |= 1 << uint(i) })
+	deps = gf2.NewVec(len(s.cols))
+	for j, c := range s.cols {
+		if bits.OnesCount64(c&w)&1 == 1 {
+			deps.Set(j)
+		}
+	}
+	return bits.OnesCount64(s.known&w) & 1, deps
 }
 
 // Reset clears state, symbols and cycle count.
 func (s *Symbolic) Reset() {
 	s.known = 0
+	s.cols = s.cols[:0]
 	s.labels = s.labels[:0]
-	for i := range s.deps {
-		s.deps[i].Reset()
-	}
 	s.cycles = 0
-}
-
-// ResetSymbols forgets all symbol dependences and labels but keeps the known
-// part of the state; used at X-canceling session boundaries where extracted
-// X's are retired but the register keeps compacting.
-func (s *Symbolic) ResetSymbols() {
-	s.labels = s.labels[:0]
-	for i := range s.deps {
-		s.deps[i].Reset()
-	}
 }

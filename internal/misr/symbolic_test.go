@@ -223,7 +223,7 @@ func TestSymbolsByPrefixAndLabels(t *testing.T) {
 	}
 }
 
-func TestResetSymbolsKeepsKnown(t *testing.T) {
+func TestResetClearsState(t *testing.T) {
 	s := MustNewSymbolic(MustStandard(8), 4)
 	in := make(logic.Vector, 8)
 	for j := range in {
@@ -232,19 +232,11 @@ func TestResetSymbolsKeepsKnown(t *testing.T) {
 	in[0] = logic.One
 	in[3] = logic.X
 	s.ClockVector(in, nil)
-	known := s.Known()
-	if known == 0 {
-		t.Fatal("known part empty")
-	}
-	s.ResetSymbols()
-	if s.NumSymbols() != 0 {
-		t.Fatal("symbols survive ResetSymbols")
-	}
-	if s.Known() != known {
-		t.Fatal("ResetSymbols clobbered known state")
+	if s.Known() == 0 || s.NumSymbols() != 1 {
+		t.Fatalf("known %#x with %d symbols, want a known part and one symbol", s.Known(), s.NumSymbols())
 	}
 	s.Reset()
-	if s.Known() != 0 || s.Cycles() != 0 {
+	if s.Known() != 0 || s.Cycles() != 0 || s.NumSymbols() != 0 {
 		t.Fatal("Reset incomplete")
 	}
 }
@@ -264,5 +256,59 @@ func TestSymbolicKnownMatchesConcreteWithoutX(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClockWordMatchesClock: the packed clock equals allocating one symbol
+// per X stage in ascending stage order and injecting them through Clock, so
+// its dependence columns, known state and default labels match; a known bit
+// under an X is ignored.
+func TestClockWordMatchesClock(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	for _, size := range []int{4, 13, 32, 64} {
+		cfg := MustStandard(size)
+		ref := MustNewSymbolic(cfg, 0)
+		word := MustNewSymbolic(cfg, 0)
+		for c := 0; c < 50; c++ {
+			var known, xs uint64
+			syms := make([]int, size)
+			for i := range syms {
+				syms[i] = -1
+				switch r.Intn(5) {
+				case 0:
+					xs |= 1 << uint(i)
+					known |= uint64(r.Intn(2)) << uint(i)
+					syms[i] = ref.NewSymbol("")
+				case 1, 2:
+					known |= 1 << uint(i)
+				}
+			}
+			ref.Clock(known&^xs, syms)
+			word.ClockWord(known, xs)
+		}
+		if ref.Known() != word.Known() || !ref.Matrix().Equal(word.Matrix()) {
+			t.Fatalf("m=%d: packed clock diverged from Clock", size)
+		}
+		for i := 0; i < size; i++ {
+			if ref.Equation(i) != word.Equation(i) {
+				t.Fatalf("m=%d: Equation(%d) %q vs %q", size, i, ref.Equation(i), word.Equation(i))
+			}
+		}
+	}
+}
+
+// TestClockWordAllocatesNothing: once the column slice has grown to a
+// session's size, clocking and resetting allocate nothing.
+func TestClockWordAllocatesNothing(t *testing.T) {
+	s := MustNewSymbolic(MustStandard(32), 64)
+	session := func() {
+		for c := 0; c < 40; c++ {
+			s.ClockWord(uint64(c)*0x9E3779B9&0xFFFFFFFF, 1<<uint(c%32))
+		}
+		s.Reset()
+	}
+	session()
+	if n := testing.AllocsPerRun(20, session); n != 0 {
+		t.Fatalf("a 40-cycle session allocates %.0f times", n)
 	}
 }

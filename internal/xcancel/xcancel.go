@@ -16,7 +16,9 @@ package xcancel
 
 import (
 	"fmt"
+	"math/bits"
 
+	"xhybrid/internal/compactor"
 	"xhybrid/internal/gf2"
 	"xhybrid/internal/logic"
 	"xhybrid/internal/misr"
@@ -117,8 +119,9 @@ func NormalizedTestTime(cfg Config, chains int, xDensity float64) float64 {
 
 // Signature is one extracted X-free combination.
 type Signature struct {
-	// Selection selects the signature bits XORed together (length m).
-	Selection gf2.Vec
+	// Selection selects the signature bits XORed together: bit i selects
+	// signature bit i.
+	Selection uint64
 	// Parity is the combination's fault-free-known parity at extraction.
 	Parity int
 }
@@ -169,6 +172,8 @@ type Canceler struct {
 	sym      *misr.Symbolic
 	pendingX int
 	res      Result
+	// elim is the halt's elimination scratch, reused across halts.
+	elim eliminator
 
 	// Observability handles, nil (no-op) unless Observe was called. They
 	// are touched only at halt/finish boundaries, never per shift cycle,
@@ -224,36 +229,48 @@ func (c *Canceler) Shift(in logic.Vector) error {
 	if len(in) != c.cfg.MISR.Size {
 		return fmt.Errorf("xcancel: input width %d, want %d", len(in), c.cfg.MISR.Size)
 	}
-	for _, v := range in {
-		if v == logic.X {
-			c.pendingX++
-			c.res.TotalX++
-		}
+	var known, xs uint64
+	for i, v := range in {
+		known |= uint64(v&1) << uint(i)
+		xs |= uint64(v>>1) << uint(i)
 	}
-	c.sym.ClockVector(in, nil)
+	c.ShiftWord(known, xs)
+	return nil
+}
+
+// ShiftWord feeds one shift cycle's packed compactor output: bit i of xs
+// marks MISR input i as X, and bit i of known is input i's known value (it
+// is ignored where xs is set). Bits at or above m must be zero.
+func (c *Canceler) ShiftWord(known, xs uint64) {
+	n := bits.OnesCount64(xs)
+	c.pendingX += n
+	c.res.TotalX += n
+	c.sym.ClockWord(known, xs)
 	c.res.ShiftCycles++
 	if c.pendingX >= c.cfg.MISR.Size-c.cfg.Q {
 		c.halt()
 	}
-	return nil
 }
 
 // halt extracts X-free combinations and retires the pending symbols.
 func (c *Canceler) halt() {
-	dep := c.sym.Matrix()
-	sels := gf2.NullCombinations(dep)
+	cols := c.sym.Columns()
+	sels := c.elim.nullSelections(cols, c.cfg.MISR.Size)
 	h := Halt{Cycle: c.res.ShiftCycles, XRetired: c.pendingX}
 	take := c.cfg.Q
 	if len(sels) < take {
 		h.Deficit = take - len(sels)
 		take = len(sels)
 	}
-	for _, sel := range sels[:take] {
-		parity, deps := c.sym.Combine(sel)
-		if !deps.IsZero() {
-			panic("xcancel: extracted combination is not X-free")
+	h.Signatures = make([]Signature, take)
+	known := c.sym.Known()
+	for k, sel := range sels[:take] {
+		for _, col := range cols {
+			if bits.OnesCount64(col&sel)&1 != 0 {
+				panic("xcancel: extracted combination is not X-free")
+			}
 		}
-		h.Signatures = append(h.Signatures, Signature{Selection: sel, Parity: parity})
+		h.Signatures[k] = Signature{Selection: sel, Parity: bits.OnesCount64(known&sel) & 1}
 	}
 	// The register is reset after read-out, as in the time-multiplexed
 	// X-canceling MISR: the next session starts clean.
@@ -268,6 +285,80 @@ func (c *Canceler) halt() {
 	c.obsDeficits.Add(int64(h.Deficit))
 	c.obsSignatures.Add(int64(len(h.Signatures)))
 	c.obsXRetired.Add(int64(h.XRetired))
+}
+
+// eliminator finds X-free combinations of a symbolic MISR's signature bits
+// with word operations. Its buffers are reused across calls.
+type eliminator struct {
+	// rows holds the m x t dependence matrix, row i in words
+	// [i*stride, (i+1)*stride) with symbol j at bit j%64 of word j/64.
+	rows []uint64
+	// ops[i] is the combination of original signature bits that row i
+	// holds: bit k set iff original row k was XORed in.
+	ops []uint64
+}
+
+// nullSelections returns the X-free combinations of the m signature bits
+// whose dependence columns are cols (bit i of cols[j] set iff bit i depends
+// on symbol j), as m-bit selection words. It runs gf2.Eliminate's
+// reduced-row-echelon elimination with its pivot order, so the selections
+// and their order are those gf2.NullCombinations returns for the same
+// matrix. The result aliases the eliminator's scratch and is valid until the
+// next call.
+func (e *eliminator) nullSelections(cols []uint64, m int) []uint64 {
+	t := len(cols)
+	stride := (t + 63) / 64
+	if cap(e.rows) < m*stride {
+		e.rows = make([]uint64, m*stride)
+	}
+	rows := e.rows[:m*stride]
+	clear(rows)
+	for j, col := range cols {
+		w, b := j/64, uint64(1)<<uint(j%64)
+		for ; col != 0; col &= col - 1 {
+			rows[bits.TrailingZeros64(col)*stride+w] |= b
+		}
+	}
+	if cap(e.ops) < m {
+		e.ops = make([]uint64, m)
+	}
+	ops := e.ops[:m]
+	for i := range ops {
+		ops[i] = 1 << uint(i)
+	}
+	rank := 0
+	for col := 0; col < t && rank < m; col++ {
+		w, b := col/64, uint64(1)<<uint(col%64)
+		pivot := rank
+		for pivot < m && rows[pivot*stride+w]&b == 0 {
+			pivot++
+		}
+		if pivot == m {
+			continue
+		}
+		pr := rows[rank*stride : (rank+1)*stride]
+		if pivot != rank {
+			pv := rows[pivot*stride : (pivot+1)*stride]
+			for k := range pr {
+				pr[k], pv[k] = pv[k], pr[k]
+			}
+			ops[rank], ops[pivot] = ops[pivot], ops[rank]
+		}
+		// Rows at or below rank are zero left of col, so the pivot row's
+		// words before w are zero and the XOR can start at w.
+		for i := 0; i < m; i++ {
+			if i == rank || rows[i*stride+w]&b == 0 {
+				continue
+			}
+			ri := rows[i*stride : (i+1)*stride]
+			for k := w; k < stride; k++ {
+				ri[k] ^= pr[k]
+			}
+			ops[i] ^= ops[rank]
+		}
+		rank++
+	}
+	return ops[rank:]
 }
 
 // Finish performs a final halt if X symbols are pending, records the
@@ -309,11 +400,19 @@ func RunResponsesObs(cfg Config, s *scan.ResponseSet, rec *obs.Recorder) (Result
 	}
 	c.Observe(rec)
 	defer rec.Span("xcancel.run")()
+	// The chains feed the MISR inputs directly: an identity compactor.
+	tree, err := compactor.NewModulo(cfg.MISR.Size, cfg.MISR.Size)
+	if err != nil {
+		return Result{}, err
+	}
+	known := make([]uint64, s.Geom.ChainLen)
+	xs := make([]uint64, s.Geom.ChainLen)
 	for _, r := range s.Responses {
-		for t := 0; t < s.Geom.ChainLen; t++ {
-			if err := c.Shift(r.Slice(t)); err != nil {
-				return Result{}, err
-			}
+		if err := tree.Fold(r, gf2.Vec{}, known, xs); err != nil {
+			return Result{}, err
+		}
+		for t := range known {
+			c.ShiftWord(known[t], xs[t])
 		}
 	}
 	return c.Finish(), nil

@@ -35,9 +35,9 @@ type ReplayReport struct {
 
 // ReplayCheck builds the tester program for the X locations and replays
 // synthesized responses (known values pseudo-random from seed, X's exactly
-// as mapped) through the hardware models. It is meant for scaled designs —
-// the cycle-level replay of a full 3000-pattern industrial workload takes
-// minutes, not milliseconds.
+// as mapped) through the hardware models. It is meant for scaled designs:
+// every synthesized response is held in memory, one byte per cell per
+// pattern.
 func ReplayCheck(x *XLocations, opt Options, seed int64) (*ReplayReport, error) {
 	params, err := opt.params(x.geom)
 	if err != nil {
