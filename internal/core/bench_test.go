@@ -21,6 +21,10 @@ func BenchmarkRunPaperExample(b *testing.B) {
 	}
 }
 
+// BenchmarkRunCKTBQuarter runs Algorithm 1's paper strategy on CKT-B/4: one
+// split per round, so it gates the cost of building column indexes and
+// groups against the few candidates the strategy prices (a >20% gate in
+// ci.yml's bench-regress job).
 func BenchmarkRunCKTBQuarter(b *testing.B) {
 	prof := workload.Scaled(workload.CKTB(), 4)
 	m, err := prof.Generate()
@@ -98,9 +102,11 @@ func BenchmarkRunStats(b *testing.B) {
 // BenchmarkRunGreedy is the CI regression gate for the incremental scoring
 // engine: the greedy strategy is the one that scores every candidate split
 // of every live partition per round, so it is the workload most sensitive
-// to the delta pricing, cross-round memoization, and partition-local cell
-// indexes. The benchstat job in ci.yml compares this benchmark between the
-// PR head and its merge base and fails on a >20% slowdown.
+// to the delta pricing, cross-round memoization, column indexes and the
+// bounded scan. It runs the serial engine (Workers: 1), the path perfbench's
+// plan-cktb4 and serve-mixed measure. The benchstat job in ci.yml compares
+// this benchmark between the PR head and its merge base and fails on a >20%
+// slowdown.
 func BenchmarkRunGreedy(b *testing.B) {
 	prof := workload.Scaled(workload.CKTB(), 4)
 	m, err := prof.Generate()
@@ -111,6 +117,7 @@ func BenchmarkRunGreedy(b *testing.B) {
 		Geom:     prof.Geometry(),
 		Cancel:   xcancel.Config{MISR: misr.MustStandard(32), Q: 7},
 		Strategy: StrategyGreedyCost,
+		Workers:  1,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

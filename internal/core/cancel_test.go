@@ -8,15 +8,37 @@ import (
 	"time"
 
 	"xhybrid/internal/misr"
+	"xhybrid/internal/obs"
 	"xhybrid/internal/workload"
 	"xhybrid/internal/xcancel"
 )
 
-// TestRunCtxCancelMidRunNoLeaks cancels a paper-scale run (CKT-B: 3000
-// patterns, 36k cells; the greedy strategy makes the run take seconds) 50ms
-// in and checks the three cancellation guarantees: the error surfaces as
-// context.Canceled, the return is prompt (the scoring loops poll the
-// context every few microseconds of work, not per round), and the
+// hookedGreedy is greedy-cost with a hook that runs at the start of its
+// second Select, between the first committed round and the second round's
+// candidate pricing. Cancelling from inside the run puts the cancellation
+// mid-run whatever the engine's speed; a wall-clock timer would race a run
+// that may finish first. One value serves one run.
+type hookedGreedy struct {
+	selects int
+	hook    func()
+}
+
+func (s *hookedGreedy) Name() string { return "hooked-greedy" }
+
+func (s *hookedGreedy) Select(sc *Selection) []Split {
+	s.selects++
+	if s.selects == 2 {
+		s.hook()
+	}
+	return StrategyGreedyCost.Select(sc)
+}
+
+// TestRunCtxCancelMidRunNoLeaks cancels a paper-scale greedy run (CKT-B:
+// 3000 patterns, 36k cells) between its first and second rounds and checks
+// the cancellation guarantees: the error surfaces as context.Canceled, no
+// partial result escapes, the return is prompt (the scoring loops poll the
+// context every few microseconds of work, not per round), no candidate is
+// priced after the cancel (core.score.delta stops moving), and the
 // evaluator's pool goroutines are all released — the goroutine count
 // returns to its pre-run level.
 func TestRunCtxCancelMidRunNoLeaks(t *testing.T) {
@@ -25,23 +47,26 @@ func TestRunCtxCancelMidRunNoLeaks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := obs.New()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var canceledAt time.Time
+	deltaAtCancel := int64(-1)
+	strat := &hookedGreedy{hook: func() {
+		cancel()
+		canceledAt = time.Now()
+		deltaAtCancel = rec.Snapshot().CounterValue("core.score.delta")
+	}}
 	params := Params{
 		Geom:     prof.Geometry(),
 		Cancel:   xcancel.Config{MISR: misr.MustStandard(32), Q: 7},
-		Strategy: StrategyGreedyCost,
+		Strategy: strat,
 		Workers:  8,
+		Obs:      rec,
 	}
 
 	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
 	res, err := RunCtx(ctx, m, params)
-	elapsed := time.Since(start)
 
 	if err == nil {
 		t.Fatal("run completed despite mid-run cancel (uncancelable path?)")
@@ -52,31 +77,49 @@ func TestRunCtxCancelMidRunNoLeaks(t *testing.T) {
 	if res != nil {
 		t.Fatal("canceled run returned a partial result")
 	}
-	// The uncanceled greedy run takes seconds; a prompt abort returns well
-	// inside this budget even under -race.
-	if elapsed > 3*time.Second {
+	if strat.selects < 2 {
+		t.Fatalf("run stopped after %d selections; the cancel never ran", strat.selects)
+	}
+	// A prompt abort returns well inside this budget even under -race.
+	if elapsed := time.Since(canceledAt); elapsed > 3*time.Second {
 		t.Fatalf("cancellation took %v, want prompt return", elapsed)
+	}
+	if got := rec.Snapshot().CounterValue("core.score.delta"); got != deltaAtCancel {
+		t.Fatalf("core.score.delta moved from %d to %d after the cancel", deltaAtCancel, got)
 	}
 	waitForGoroutines(t, before)
 }
 
-// TestRunCtxDeadline covers the deadline flavor on the same workload.
+// TestRunCtxDeadline covers the deadline flavor on the same workload: the
+// second selection waits out the deadline, and the run must stop without
+// pricing another candidate.
 func TestRunCtxDeadline(t *testing.T) {
 	prof := workload.CKTB()
 	m, err := prof.Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := obs.New()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
+	deltaAtDeadline := int64(-1)
 	_, err = RunCtx(ctx, m, Params{
-		Geom:     prof.Geometry(),
-		Cancel:   xcancel.Config{MISR: misr.MustStandard(32), Q: 7},
-		Strategy: StrategyGreedyCost,
-		Workers:  4,
+		Geom:   prof.Geometry(),
+		Cancel: xcancel.Config{MISR: misr.MustStandard(32), Q: 7},
+		Strategy: &hookedGreedy{hook: func() {
+			<-ctx.Done()
+			deltaAtDeadline = rec.Snapshot().CounterValue("core.score.delta")
+		}},
+		Workers: 4,
+		Obs:     rec,
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if deltaAtDeadline >= 0 {
+		if got := rec.Snapshot().CounterValue("core.score.delta"); got != deltaAtDeadline {
+			t.Fatalf("core.score.delta moved from %d to %d after the deadline", deltaAtDeadline, got)
+		}
 	}
 }
 

@@ -162,8 +162,8 @@ func (e *evaluator) replay(cp *Checkpoint, root *partState, rng *rand.Rand) (liv
 			}
 		}
 		if r.Accepted {
-			xs.ensureCells(e, parent)
-			rs.ensureCells(e, parent)
+			xs.ensureIndex(e, parent)
+			rs.ensureIndex(e, parent)
 			live = append(live, nil)
 			copy(live[r.SplitPartition+2:], live[r.SplitPartition+1:])
 			live[r.SplitPartition] = xs

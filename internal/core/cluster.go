@@ -115,7 +115,7 @@ func RunClusteredCtx(ctx context.Context, m *xmap.XMap, params Params) (*Result,
 	var live []*partState
 	intern := func(v gf2.Vec) *partState {
 		st := e.stateFor(v)
-		st.ensureStats(e, nil)
+		st.ensureStats(e)
 		return st
 	}
 	for _, c := range clusters {

@@ -62,8 +62,8 @@ type Params struct {
 	// mask delivery (see internal/xmask encoders) and shift the cost
 	// optimum toward more partitions.
 	MaskBitsPerPartition int
-	// Workers bounds the goroutines that score candidate splits and
-	// recompute per-partition masked-X counts; 0 means
+	// Workers bounds the goroutines that score candidate splits, enumerate
+	// and group partitions and count per-cell X's; 0 means
 	// runtime.GOMAXPROCS(0). Every parallel reduction is deterministic, so
 	// results are byte-identical for any worker count.
 	Workers int
@@ -188,14 +188,20 @@ type Result struct {
 }
 
 // evaluator carries the shared state of one partitioning run. Its pool fans
-// the per-cell and per-candidate loops out over Params.Workers goroutines;
-// every reduction is deterministic, so the evaluator produces identical
-// results for any worker count.
+// the per-partition and per-candidate loops out over Params.Workers
+// goroutines; every reduction is deterministic, so the evaluator produces
+// identical results for any worker count.
 type evaluator struct {
 	m      *xmap.XMap
 	params Params
 	totalX int
 	pool   *pool.Pool
+
+	// cols is the run's column table and all the index of every column
+	// with its global count (DESIGN §5.2); both are read-only after
+	// newEvaluator.
+	cols colTable
+	all  colIndex
 
 	// ctx aborts the run; done caches ctx.Done() so the hot loops can poll
 	// with one channel select instead of a ctx.Err() mutex round-trip. A
@@ -228,6 +234,7 @@ type evaluator struct {
 	obsFull        *obs.Counter
 	obsIndexBuilds *obs.Counter
 	obsIndexCells  *obs.Counter
+	obsScanCols    *obs.Counter
 	obsCheckpoints *obs.Counter
 }
 
@@ -253,14 +260,16 @@ type stateShard struct {
 // newEvaluator builds the run state; the caller must Close the evaluator's
 // pool when done.
 func newEvaluator(ctx context.Context, m *xmap.XMap, params Params) *evaluator {
-	// Force the X-map's lazy cell reindex at this serial point, before the
-	// pool fans XCells readers out over worker goroutines.
-	m.XCells()
+	// The column table forces the X-map's lazy cell reindex at this serial
+	// point, before the pool fans XCells readers out over worker goroutines.
+	cols := newColTable(m)
 	e := &evaluator{
 		m:      m,
 		params: params,
 		totalX: m.TotalX(),
 		pool:   pool.New(params.workers()),
+		cols:   cols,
+		all:    cols.allColumns(m.Patterns()),
 		ctx:    ctx,
 		done:   ctx.Done(),
 
@@ -276,6 +285,7 @@ func newEvaluator(ctx context.Context, m *xmap.XMap, params Params) *evaluator {
 		obsFull:        params.Obs.Counter("core.score.full"),
 		obsIndexBuilds: params.Obs.Counter("core.cellindex.builds"),
 		obsIndexCells:  params.Obs.Counter("core.cellindex.cells.scanned"),
+		obsScanCols:    params.Obs.Counter("core.scan.columns"),
 		obsCheckpoints: params.Obs.Counter("core.checkpoints.emitted"),
 	}
 	for i := range e.shards {
@@ -316,7 +326,7 @@ func (e *evaluator) err() error {
 	return nil
 }
 
-// cancelCheckMask spaces the cancellation polls of the per-cell loops: one
-// channel select every 64 cells keeps the abort latency in the microseconds
-// while staying invisible next to the popcount work per cell.
+// cancelCheckMask spaces the cancellation polls of the per-column loops: one
+// channel select every 64 columns keeps the abort latency in the
+// microseconds while staying invisible next to the word work per column.
 const cancelCheckMask = 63

@@ -53,13 +53,13 @@ func RunCtx(ctx context.Context, m *xmap.XMap, params Params) (*Result, error) {
 	defer e.close()
 	rng := rand.New(rand.NewSource(params.Seed))
 
-	// Start with a single partition holding every pattern. Its cell index
-	// is every X-capturing slot; all later indexes narrow an ancestor's.
+	// Start with a single partition holding every pattern. Its column
+	// index is every column; all later indexes narrow an ancestor's.
 	all := gf2.NewVec(m.Patterns())
 	all.SetAll()
 	root := e.stateFor(all)
-	root.ensureCells(e, nil)
-	root.ensureStats(e, nil)
+	root.ensureIndex(e, nil)
+	root.ensureStats(e)
 	live := []*partState{root}
 	masked := root.maskedX
 	maskBits := e.contrib(root)
@@ -134,10 +134,10 @@ outer:
 			if r.Accepted {
 				e.obsAccepted.Inc()
 				// Commit: the X side replaces the parent in place and the
-				// complement lands right after it. Build the sides' cell
+				// complement lands right after it. Build the sides' column
 				// indexes now (serial point) by narrowing the parent's.
-				xs.ensureCells(e, parent)
-				rs.ensureCells(e, parent)
+				xs.ensureIndex(e, parent)
+				rs.ensureIndex(e, parent)
 				live = append(live, nil)
 				copy(live[cand.Partition+2:], live[cand.Partition+1:])
 				live[cand.Partition] = xs
@@ -172,9 +172,9 @@ outer:
 // groupsPerPartition returns each live partition's candidate groups, fanning
 // the partitions out over the pool. After the first round this is almost
 // entirely cache hits: only the two partitions born from the last commit
-// compute anything, and those scan just their local cell index. The result
-// is indexed by partition, so the fan-out order cannot leak into the
-// selection.
+// compute anything, and those count just the cells of their indexed
+// columns. The result is indexed by partition, so the fan-out order cannot
+// leak into the selection.
 func (e *evaluator) groupsPerPartition(live []*partState) [][]correlation.Group {
 	groups := make([][]correlation.Group, len(live))
 	e.pool.ForEach(len(live), func(i int) {
@@ -278,23 +278,25 @@ const greedyCandidateCap = 256
 // the partition, so only freshly split partitions enumerate anything.
 // Phase 2 prices every candidate by contribution swap against the running
 // totals; side states are interned by content, so a candidate unchanged
-// since the last round costs two hash probes instead of two full-map scans.
+// since the last round costs two hash probes instead of a bounded scan.
 // The reduce takes the lowest cost at the earliest position in the serial
 // enumeration order (partition index, then gain rank), so the pick matches
 // a serial scan exactly.
 func (e *evaluator) selectGreedy(live []*partState, masked, maskBits, cost int) *Split {
+	cands := make([][]int, len(live))
 	e.pool.ForEach(len(live), func(i int) {
 		if e.canceled() || live[i].size < 2 {
 			return
 		}
-		live[i].ensureCands(e, greedyCandidateCap)
+		cands[i] = live[i].ensureCands(e, greedyCandidateCap)
 	})
-	var all []Split
-	for i, st := range live {
-		if st.size < 2 || !st.candsReady.Load() {
-			continue
-		}
-		for _, cell := range st.cands {
+	n := 0
+	for _, list := range cands {
+		n += len(list)
+	}
+	all := make([]Split, 0, n)
+	for i, list := range cands {
+		for _, cell := range list {
 			all = append(all, Split{Partition: i, Cell: cell})
 		}
 	}

@@ -19,6 +19,11 @@ import (
 // the scan results instead of recomputing them. Partition bitsets are
 // immutable once interned (splitStates and the cluster merges always build
 // fresh vectors), so a cached value never goes stale.
+//
+// Most states are candidate split sides that only ever need their stats;
+// the column index and the memos built on it live in a partIndex that only
+// committed partitions (and states the selectors group or enumerate)
+// allocate.
 type partState struct {
 	// part is the pattern bitset, shared with the evaluator's VecSet
 	// storage; read-only.
@@ -37,19 +42,15 @@ type partState struct {
 	// maskCells is the number of cells that mask covers.
 	maskCells int
 
-	// cells are the slots into the X-map's XCells() whose cells capture at
-	// least one in-partition X — the only cells any scan of this partition
-	// can care about — and counts holds each one's in-partition X count.
-	// Only committed partitions carry the index (candidate sides inherit
-	// their parent's as a scan hint instead). Like the stats, the build is
-	// once-guarded so concurrent callers are safe: the first builds, the
-	// rest block on the Once; cellsReady is the acquire-ordered flag that
-	// lets readers skip the Once entirely (and distinguishes a legitimately
-	// empty index from an unbuilt one).
-	cellsOnce  sync.Once
-	cellsReady atomic.Bool
-	cells      []int32
-	counts     []int32
+	// idx is the partition's column index, built once through idxOnce;
+	// nil until then, so a non-nil load is the acquire-ordered ready flag.
+	idxOnce sync.Once
+	idx     atomic.Pointer[partIndex]
+}
+
+// partIndex is a partition's column index plus the memos computed from it.
+type partIndex struct {
+	colIndex
 
 	// groups memoizes the partition's equal-count candidate groups.
 	// Once-guarded like the stats: groupsPerPartition fans distinct states
@@ -136,167 +137,154 @@ func (e *evaluator) internedStates() []*partState {
 	return out
 }
 
-// ensureStats computes the partition's maskedX and maskCells in a single
-// pass over the cells that can matter. A partition carrying its own cell
-// index gets the stats for free — a cell is fully X exactly when its stored
-// in-partition count equals the partition size, no bitset is touched.
-// Otherwise one popcount scan runs over hint (any superset of the
-// intersecting slots, typically the parent partition's index) or, failing
-// that, every X-capturing cell; the scan chunks over the pool with a
-// position-indexed reduction, so the result is identical for any worker
-// count. A canceled run leaves partial values; the caller aborts with the
-// context error before they can escape.
-func (st *partState) ensureStats(e *evaluator, hint []int32) {
+// commitStats records a priced state's stats — maskedX is size × cells —
+// through its Once, so a racing fill keeps the first value.
+func (st *partState) commitStats(cells int) {
 	st.statsOnce.Do(func() {
-		defer st.statsReady.Store(true)
-		if st.size == 0 {
-			return
-		}
-		if st.cellsReady.Load() {
-			for _, n := range st.counts {
-				if int(n) == st.size {
-					st.maskedX += st.size
-					st.maskCells++
-				}
-			}
-			return
-		}
-		e.obsRecomputes.Inc()
-		cells := e.m.XCells()
-		n := len(cells)
-		if hint != nil {
-			n = len(hint)
-		}
-		type partial struct{ maskedX, maskCells int }
-		partials := make([]partial, e.pool.Workers())
-		e.pool.Chunks(n, func(c, lo, hi int) {
-			var p partial
-			for i := lo; i < hi; i++ {
-				if i&cancelCheckMask == 0 && e.canceled() {
-					break
-				}
-				slot := i
-				if hint != nil {
-					slot = int(hint[i])
-				}
-				if cells[slot].Patterns.PopCountAnd(st.part) == st.size {
-					p.maskedX += st.size
-					p.maskCells++
-				}
-			}
-			partials[c] = p
-		})
-		for _, p := range partials {
-			st.maskedX += p.maskedX
-			st.maskCells += p.maskCells
-		}
+		st.maskedX, st.maskCells = st.size*cells, cells
+		st.statsReady.Store(true)
 	})
 }
 
-// ensureCells builds the partition-local slot index with per-cell counts,
-// narrowing the parent's when available (a sub-partition can only intersect
-// cells its parent does). Safe for concurrent callers: the first one in
-// builds (its parent hint wins; any hint yields the identical index, a hint
-// only shrinks the scan), later ones block on the Once until the index is
-// ready.
-func (st *partState) ensureCells(e *evaluator, parent *partState) {
-	if st.cellsReady.Load() {
+// ensureStats prices a state that is no split side: RunCtx's root and
+// RunClustered's partitions. A state carrying its own column index gets its
+// stats free — a cell is fully X exactly when its in-partition count equals
+// the size, and those columns lead byCount. Otherwise one bounded scan runs
+// over the all-columns index with global counts.
+func (st *partState) ensureStats(e *evaluator) {
+	if st.statsReady.Load() {
 		return
 	}
-	st.cellsOnce.Do(func() {
-		var within []int32
-		if parent != nil && parent.cellsReady.Load() {
-			within = parent.cells
+	idx := st.idx.Load()
+	if idx == nil {
+		e.scanPair(e.all.byCount, st, nil)
+		return
+	}
+	cells := 0
+	for _, cc := range idx.byCount {
+		if int(cc.count) != st.size {
+			break
 		}
-		n := len(within)
-		if within == nil {
-			n = e.m.NumXCells()
-		}
-		e.obsIndexBuilds.Inc()
-		e.obsIndexCells.Add(int64(n))
-		st.cells, st.counts = e.m.IntersectingSlotCounts(st.part, within)
-		st.cellsReady.Store(true)
-	})
+		cells += int(e.cols.mult[cc.col])
+	}
+	st.commitStats(cells)
 }
 
-// ensureGroups memoizes the partition's equal-count groups, scanning only
-// its local slot index. Concurrent lookups of one state are safe: the memo
-// fills through the Once, and a caller that raced the fill returns the
-// finished slice without counting a hit or a miss (the hit/miss counters
-// track fast-path lookups and distinct computations; misses always equal
-// the number of states that ever computed groups).
-func (st *partState) ensureGroups(e *evaluator) []correlation.Group {
-	if st.groupsReady.Load() {
-		e.obsGroupHits.Inc()
-		return st.groups
+// ensureIndex returns the partition's column index, building it on first
+// use by narrowing its parent's (a sub-partition only holds X's on columns
+// its parent does) or, with no indexed parent, the all-columns index. Safe
+// for concurrent callers: the first one in builds (any source yields the
+// identical index, a parent only shrinks the work), later ones block on the
+// Once until it is ready.
+func (st *partState) ensureIndex(e *evaluator, parent *partState) *partIndex {
+	if idx := st.idx.Load(); idx != nil {
+		return idx
 	}
-	st.groupsOnce.Do(func() {
-		e.obsGroupMisses.Inc()
-		st.ensureCells(e, nil)
-		st.groups = correlation.GroupsWithinCells(e.ctx, e.m, st.part, st.cells, e.pool, e.params.Obs)
-		st.groupsReady.Store(true)
+	st.idxOnce.Do(func() {
+		src := &e.all
+		if parent != nil {
+			if pidx := parent.idx.Load(); pidx != nil {
+				src = &pidx.colIndex
+			}
+		}
+		e.obsIndexBuilds.Inc()
+		e.obsIndexCells.Add(int64(src.cells))
+		st.idx.Store(&partIndex{colIndex: e.cols.narrow(src.byCol, st.part)})
 	})
-	return st.groups
+	return st.idx.Load()
+}
+
+// ensureGroups memoizes the partition's equal-count groups, handing
+// correlation the slots of its indexed columns. Concurrent lookups of one
+// state are safe: the memo fills through the Once, and a caller that raced
+// the fill returns the finished slice without counting a hit or a miss (the
+// hit/miss counters track fast-path lookups and distinct computations;
+// misses always equal the number of states that ever computed groups).
+func (st *partState) ensureGroups(e *evaluator) []correlation.Group {
+	idx := st.ensureIndex(e, nil)
+	if idx.groupsReady.Load() {
+		e.obsGroupHits.Inc()
+		return idx.groups
+	}
+	idx.groupsOnce.Do(func() {
+		e.obsGroupMisses.Inc()
+		idx.groups = correlation.GroupsWithinCells(e.ctx, e.m, st.part, e.cols.slots(&idx.colIndex), e.pool, e.params.Obs)
+		idx.groupsReady.Store(true)
+	})
+	return idx.groups
 }
 
 // ensureCands memoizes the partition's greedy candidate cells: one
-// representative cell per distinct in-partition X signature (first in slot
-// order, exactly the old full-scan enumeration restricted to cells that can
-// intersect), ranked by gain — the total in-partition X's of the cells
-// sharing the signature, a lower bound on what the split's X side masks —
-// and capped at limit. sort.Slice on an identical input sequence is
-// deterministic, so the ranking matches the pre-incremental engine's.
-func (st *partState) ensureCands(e *evaluator, limit int) {
-	if st.candsReady.Load() {
-		return
+// representative cell per distinct in-partition X signature, ranked by gain
+// — the total in-partition X's of the cells sharing the signature, a lower
+// bound on what the split's X side masks — and capped at limit. The walk is
+// over columns in column order: cells sharing a column share a signature
+// and add count × multiplicity, and first-slot numbering makes each
+// signature's representative its first cell in slot order, so the sequence
+// handed to sort.Slice (deterministic on an identical input) is exactly a
+// slot-order enumeration's. It returns nil when the run is canceled
+// mid-enumeration (the memo stays unfilled; the run is aborting anyway).
+func (st *partState) ensureCands(e *evaluator, limit int) []int {
+	idx := st.ensureIndex(e, nil)
+	if idx.candsReady.Load() {
+		return idx.cands
 	}
-	st.candsOnce.Do(func() {
-		st.ensureCells(e, nil)
+	idx.candsOnce.Do(func() {
 		cells := e.m.XCells()
 		type cand struct {
-			cell int
+			col  int32 // the signature's first column
+			next int32 // previous candidate with the same signature hash, or -1
 			gain int
 		}
-		sigs := gf2.NewVecSet()
+		// Signatures dedup by content hash (HashAnd), verified by comparing
+		// the two columns inside the partition, so none is materialized.
+		heads := make(map[uint64]int32, len(idx.byCol))
+		pw := st.part.Words()
 		var cands []cand
-		for k, slot := range st.cells {
+	cols:
+		for k, cc := range idx.byCol {
 			if k&cancelCheckMask == 0 && e.canceled() {
-				// Leave the memo unfilled (candsReady stays false, so the
-				// selector skips this state); the run is aborting anyway.
 				return
 			}
-			c := cells[slot]
-			n := int(st.counts[k])
+			n := int(cc.count)
 			if n >= st.size {
-				// Fully-X cells can't split; the index guarantees n > 0.
+				// Fully-X columns can't split; the index guarantees n > 0.
 				continue
 			}
-			id, existed := sigs.AddAnd(c.Patterns, st.part)
-			if existed {
-				cands[id].gain += n
-				continue
+			gain := n * int(e.cols.mult[cc.col])
+			h := cells[e.cols.firstSlot[cc.col]].Patterns.HashAnd(st.part)
+			head, ok := heads[h]
+			if !ok {
+				head = -1
 			}
-			cands = append(cands, cand{cell: c.Cell, gain: n})
+			for j := head; j >= 0; j = cands[j].next {
+				if equalIn(e.cols.col(cands[j].col), e.cols.col(cc.col), pw) {
+					cands[j].gain += gain
+					continue cols
+				}
+			}
+			heads[h] = int32(len(cands))
+			cands = append(cands, cand{col: cc.col, next: head, gain: gain})
 		}
 		sort.Slice(cands, func(a, b int) bool { return cands[a].gain > cands[b].gain })
 		if len(cands) > limit {
 			cands = cands[:limit]
 		}
-		st.cands = make([]int, len(cands))
+		idx.cands = make([]int, len(cands))
 		for i, ca := range cands {
-			st.cands[i] = ca.cell
+			idx.cands[i] = cells[e.cols.firstSlot[ca.col]].Cell
 		}
-		st.candsReady.Store(true)
+		idx.candsReady.Store(true)
 	})
+	return idx.cands
 }
 
 // splitStates interns the two sides of splitting parent on cell and fills
 // their stats. Both sides' content hashes come from one fused word scan
 // (gf2.Vec.HashPair), so a cache hit costs a single pass over the parent
-// and cell bitsets where two probes used to scan twice. When both sides
-// are fresh, one pair scan over the parent's cell index prices them
-// together; on a cache hit neither side's bitset is even materialized and
-// no scan runs at all.
+// and cell bitsets; on a hit neither side's bitset is even materialized and
+// no scan runs at all. Otherwise one bounded scan of the parent's column
+// index prices whichever sides are fresh.
 func (e *evaluator) splitStates(parent *partState, cell int) (xs, rs *partState) {
 	cellBits, ok := e.m.CellPatterns(cell)
 	if !ok {
@@ -305,67 +293,10 @@ func (e *evaluator) splitStates(parent *partState, cell int) (xs, rs *partState)
 	hAnd, hAndNot := parent.part.HashPair(cellBits)
 	xs = e.stateAnd(hAnd, parent.part, cellBits)
 	rs = e.stateAndNot(hAndNot, parent.part, cellBits)
-	if parent.cellsReady.Load() && xs.size > 0 && rs.size > 0 &&
-		!xs.statsReady.Load() && !rs.statsReady.Load() {
-		e.scanPair(parent, xs, rs)
+	if !xs.statsReady.Load() || !rs.statsReady.Load() {
+		e.scanPair(parent.ensureIndex(e, nil).byCount, xs, rs)
 	}
-	var hint []int32
-	if parent.cellsReady.Load() {
-		hint = parent.cells
-	}
-	xs.ensureStats(e, hint)
-	rs.ensureStats(e, hint)
 	return xs, rs
-}
-
-// scanPair fills both split sides' stats from a single pass over the
-// parent's cell index, spending one popcount per cell: the X side's
-// in-partition count is measured directly and the rest side's falls out as
-// the parent's stored count minus it. The fallback path would run two
-// scans, each of them over a superset of these cells with the same popcount
-// per cell — the pair scan is strictly cheaper and counts as one recompute.
-// Results are committed through each side's Once, so racing fills (another
-// candidate sharing a side) keep the first value; both computations produce
-// identical integers, so the race never changes an outcome.
-func (e *evaluator) scanPair(parent, xs, rs *partState) {
-	e.obsRecomputes.Inc()
-	cells := e.m.XCells()
-	n := len(parent.cells)
-	type partial struct{ mxX, mcX, mxR, mcR int }
-	partials := make([]partial, e.pool.Workers())
-	e.pool.Chunks(n, func(c, lo, hi int) {
-		var p partial
-		for i := lo; i < hi; i++ {
-			if i&cancelCheckMask == 0 && e.canceled() {
-				break
-			}
-			nXs := cells[parent.cells[i]].Patterns.PopCountAnd(xs.part)
-			if nXs == xs.size {
-				p.mxX += xs.size
-				p.mcX++
-			}
-			if int(parent.counts[i])-nXs == rs.size {
-				p.mxR += rs.size
-				p.mcR++
-			}
-		}
-		partials[c] = p
-	})
-	var total partial
-	for _, p := range partials {
-		total.mxX += p.mxX
-		total.mcX += p.mcX
-		total.mxR += p.mxR
-		total.mcR += p.mcR
-	}
-	xs.statsOnce.Do(func() {
-		xs.maskedX, xs.maskCells = total.mxX, total.mcX
-		xs.statsReady.Store(true)
-	})
-	rs.statsOnce.Do(func() {
-		rs.maskedX, rs.maskCells = total.mxR, total.mcR
-		rs.statsReady.Store(true)
-	})
 }
 
 // contrib returns the partition's mask control-bit contribution: one mask

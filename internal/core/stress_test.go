@@ -68,14 +68,14 @@ func TestConcurrentInterningConsistency(t *testing.T) {
 			var n int64
 			parent := e.stateFor(full.Clone())
 			n++
-			parent.ensureCells(e, nil)
-			parent.ensureStats(e, nil)
+			parent.ensureIndex(e, nil)
+			parent.ensureStats(e)
 			for i, v := range vecs {
 				st := e.stateFor(v.Clone())
 				n++
-				st.ensureStats(e, nil)
+				st.ensureStats(e)
 				if (i+g)%3 == 0 {
-					st.ensureCells(e, nil)
+					st.ensureIndex(e, nil)
 					st.ensureGroups(e)
 				}
 				if (i+g)%4 == 0 {

@@ -219,7 +219,12 @@ func TestGroupsWithinCellsMatchesFullScan(t *testing.T) {
 		for i := 0; i < 30; i += 3 {
 			child.Clear(i)
 		}
-		parentSlots := m.IntersectingSlots(parent, nil)
+		var parentSlots []int32
+		for s, c := range m.XCells() {
+			if c.Patterns.PopCountAnd(parent) > 0 {
+				parentSlots = append(parentSlots, int32(s))
+			}
+		}
 		for _, part := range []gf2.Vec{parent, child} {
 			want := GroupsWithin(m, part)
 			got := GroupsWithinCells(context.Background(), m, part, parentSlots, nil, nil)

@@ -22,13 +22,6 @@ func TestFusedKernelsMatchMaterialized(t *testing.T) {
 		if !AndOf(a, b).Equal(and) || !AndNotOf(a, b).Equal(andNot) {
 			return false
 		}
-		if a.PopCountAndNot(b) != andNot.PopCount() {
-			return false
-		}
-		pAnd, pAndNot := a.PopCountPair(b)
-		if pAnd != and.PopCount() || pAndNot != andNot.PopCount() {
-			return false
-		}
 		hAnd, hAndNot := a.HashPair(b)
 		return hAnd == and.Hash() && hAndNot == andNot.Hash() &&
 			hAnd == a.HashAnd(b) && hAndNot == a.HashAndNot(b)
@@ -58,11 +51,9 @@ func TestAndOfIndependence(t *testing.T) {
 func TestFusedLengthMismatchPanics(t *testing.T) {
 	a, b := NewVec(10), NewVec(11)
 	for name, fn := range map[string]func(){
-		"AndOf":          func() { AndOf(a, b) },
-		"AndNotOf":       func() { AndNotOf(a, b) },
-		"PopCountAndNot": func() { a.PopCountAndNot(b) },
-		"PopCountPair":   func() { a.PopCountPair(b) },
-		"HashPair":       func() { a.HashPair(b) },
+		"AndOf":    func() { AndOf(a, b) },
+		"AndNotOf": func() { AndNotOf(a, b) },
+		"HashPair": func() { a.HashPair(b) },
 	} {
 		func() {
 			defer func() {
@@ -75,8 +66,9 @@ func TestFusedLengthMismatchPanics(t *testing.T) {
 	}
 }
 
-// The WithHash probe variants must behave exactly like their hashing
-// counterparts when handed the canonical hash — same ids, same dedup.
+// The WithHash probe variants must behave exactly like Add on the
+// materialized vector when handed the canonical hash — same ids, same
+// dedup.
 func TestVecSetWithHashVariants(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	s := NewVecSet()
@@ -85,12 +77,12 @@ func TestVecSetWithHashVariants(t *testing.T) {
 		a, b := randVec(r, 193), randVec(r, 193)
 		hAnd, hAndNot := a.HashPair(b)
 		idA, exA := s.AddAndWithHash(hAnd, a, b)
-		idRA, exRA := ref.AddAnd(a, b)
+		idRA, exRA := ref.Add(AndOf(a, b))
 		if idA != idRA || exA != exRA {
 			t.Fatalf("AddAndWithHash diverged at %d: (%d,%v) vs (%d,%v)", i, idA, exA, idRA, exRA)
 		}
 		idN, exN := s.AddAndNotWithHash(hAndNot, a, b)
-		idRN, exRN := ref.AddAndNot(a, b)
+		idRN, exRN := ref.Add(AndNotOf(a, b))
 		if idN != idRN || exN != exRN {
 			t.Fatalf("AddAndNotWithHash diverged at %d", i)
 		}

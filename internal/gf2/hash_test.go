@@ -102,14 +102,14 @@ func TestVecSetDedup(t *testing.T) {
 		t.Fatalf("second Add = (%d,%t), want (1,false)", id, existed)
 	}
 	// a & b = 0010; a &^ b = 1000.
-	if id, existed := s.AddAnd(a, b); id != 2 || existed {
-		t.Fatalf("AddAnd = (%d,%t), want (2,false)", id, existed)
+	if id, existed := s.AddAndWithHash(a.HashAnd(b), a, b); id != 2 || existed {
+		t.Fatalf("AddAndWithHash = (%d,%t), want (2,false)", id, existed)
 	}
-	if id, existed := s.AddAnd(a, b); id != 2 || !existed {
-		t.Fatalf("repeat AddAnd = (%d,%t), want (2,true)", id, existed)
+	if id, existed := s.AddAndWithHash(a.HashAnd(b), a, b); id != 2 || !existed {
+		t.Fatalf("repeat AddAndWithHash = (%d,%t), want (2,true)", id, existed)
 	}
-	if id, existed := s.AddAndNot(a, b); id != 3 || existed {
-		t.Fatalf("AddAndNot = (%d,%t), want (3,false)", id, existed)
+	if id, existed := s.AddAndNotWithHash(a.HashAndNot(b), a, b); id != 3 || existed {
+		t.Fatalf("AddAndNotWithHash = (%d,%t), want (3,false)", id, existed)
 	}
 	if got := s.Vec(2); !got.Equal(ParseVec("0010")) {
 		t.Fatalf("Vec(2) = %v, want 0010", got)
@@ -119,10 +119,11 @@ func TestVecSetDedup(t *testing.T) {
 	}
 }
 
-// With a constant hash every vector lands in one bucket: the set must still
+// With a constant hash every vector lands in one chain: the set must still
 // deduplicate purely via the equality verification.
 func TestVecSetCollisionPathStillDedups(t *testing.T) {
-	s := NewVecSetWithHash(func(Vec) uint64 { return 42 })
+	const h = 42
+	s := NewVecSet()
 	r := rand.New(rand.NewSource(7))
 	var vecs []Vec
 	for i := 0; i < 50; i++ {
@@ -130,27 +131,30 @@ func TestVecSetCollisionPathStillDedups(t *testing.T) {
 	}
 	ids := make(map[int]Vec)
 	for _, v := range vecs {
-		id, _ := s.Add(v)
+		id, _ := s.AddWithHash(h, v)
 		if prev, ok := ids[id]; ok && !prev.Equal(v) {
 			t.Fatalf("id %d assigned to unequal vectors under forced collisions", id)
 		}
 		ids[id] = v
 	}
 	for _, v := range vecs {
-		id, existed := s.Add(v.Clone())
+		id, existed := s.AddWithHash(h, v.Clone())
 		if !existed || !s.Vec(id).Equal(v) {
 			t.Fatalf("forced-collision set lost vector %v", v)
 		}
 	}
-	// Derived inserts share the same single bucket and must still dedup.
+	// Derived inserts share the same single chain and must still dedup.
 	a, b := vecs[0], vecs[1]
-	idAnd, _ := s.AddAnd(a, b)
-	if id, existed := s.AddAnd(a, b); id != idAnd || !existed {
-		t.Fatal("AddAnd not idempotent under forced collisions")
+	idAnd, _ := s.AddAndWithHash(h, a, b)
+	if id, existed := s.AddAndWithHash(h, a, b); id != idAnd || !existed {
+		t.Fatal("AddAndWithHash not idempotent under forced collisions")
 	}
-	idNot, _ := s.AddAndNot(a, b)
-	if id, existed := s.AddAndNot(a, b); id != idNot || !existed {
-		t.Fatal("AddAndNot not idempotent under forced collisions")
+	idNot, _ := s.AddAndNotWithHash(h, a, b)
+	if id, existed := s.AddAndNotWithHash(h, a, b); id != idNot || !existed {
+		t.Fatal("AddAndNotWithHash not idempotent under forced collisions")
+	}
+	if !s.Vec(idAnd).Equal(AndOf(a, b)) || !s.Vec(idNot).Equal(AndNotOf(a, b)) {
+		t.Fatal("derived inserts stored the wrong vectors under forced collisions")
 	}
 }
 

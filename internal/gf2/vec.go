@@ -68,6 +68,11 @@ func ParseVec(s string) Vec {
 // Len returns the number of bits in the vector.
 func (v Vec) Len() int { return v.n }
 
+// Words returns the vector's backing words: bit i is bit i%64 of word i/64,
+// and the bits past Len are zero. The slice is shared with v; treat it as
+// read-only.
+func (v Vec) Words() []uint64 { return v.words }
+
 // Get reports whether bit i is set.
 func (v Vec) Get(i int) bool {
 	v.check(i)
@@ -163,30 +168,6 @@ func (v Vec) PopCountAnd(u Vec) int {
 		c += bits.OnesCount64(v.words[i] & w)
 	}
 	return c
-}
-
-// PopCountAndNot returns popcount(v &^ u) without allocating.
-// The vectors must have equal length.
-func (v Vec) PopCountAndNot(u Vec) int {
-	v.checkLen(u)
-	c := 0
-	for i, w := range u.words {
-		c += bits.OnesCount64(v.words[i] &^ w)
-	}
-	return c
-}
-
-// PopCountPair returns popcount(v & u) and popcount(v &^ u) in one pass
-// over the words — both sides of a split costed with one memory touch per
-// word instead of two scans. The vectors must have equal length.
-func (v Vec) PopCountPair(u Vec) (and, andNot int) {
-	v.checkLen(u)
-	for i, w := range u.words {
-		vw := v.words[i]
-		and += bits.OnesCount64(vw & w)
-		andNot += bits.OnesCount64(vw &^ w)
-	}
-	return and, andNot
 }
 
 // IsZero reports whether every bit is 0.

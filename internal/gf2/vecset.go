@@ -3,33 +3,26 @@ package gf2
 // VecSet deduplicates bit vectors by content, assigning each distinct
 // vector a dense id (0, 1, 2, ... in first-insertion order). It replaces
 // the Vec.String()-keyed maps of earlier designs: keys are 64-bit content
-// hashes (Vec.Hash) verified with word-level equality on bucket collisions,
-// so no per-insert string is ever allocated. The AddAnd/AddAndNot variants
-// probe for a derived vector (a&b, a&^b) without materializing it unless it
-// turns out to be new.
+// hashes (Vec.Hash) verified with word-level equality on hash collisions,
+// so no per-insert string or bucket slice is ever allocated. The
+// AddAndWithHash/AddAndNotWithHash variants probe for a derived vector
+// (a&b, a&^b) without materializing it unless it turns out to be new.
 //
 // The zero value is not usable; call NewVecSet. VecSet is not safe for
 // concurrent use; callers that share one across goroutines must serialize
 // access (internal/core's evaluator wraps it in a mutex).
 type VecSet struct {
-	// hash and hashAnd/hashAndNot are the probing functions; tests inject
-	// degenerate hashes here to exercise the collision path.
-	hash       func(Vec) uint64
-	hashAnd    func(a, b Vec) uint64
-	hashAndNot func(a, b Vec) uint64
-
-	buckets map[uint64][]int
-	vecs    []Vec
+	// heads maps a content hash to the newest id carrying it, and next[id]
+	// chains each id to the previous id with the same hash (-1 ends the
+	// chain), so an insert allocates no per-hash bucket slice.
+	heads map[uint64]int32
+	next  []int32
+	vecs  []Vec
 }
 
 // NewVecSet returns an empty set.
 func NewVecSet() *VecSet {
-	return &VecSet{
-		hash:       Vec.Hash,
-		hashAnd:    Vec.HashAnd,
-		hashAndNot: Vec.HashAndNot,
-		buckets:    make(map[uint64][]int),
-	}
+	return &VecSet{heads: make(map[uint64]int32)}
 }
 
 // Len returns the number of distinct vectors in the set.
@@ -43,60 +36,60 @@ func (s *VecSet) Vec(id int) Vec { return s.vecs[id] }
 // equal vector was already present. The set stores v itself (no clone); the
 // caller must not mutate it afterwards.
 func (s *VecSet) Add(v Vec) (id int, existed bool) {
-	return s.AddWithHash(s.hash(v), v)
+	return s.AddWithHash(v.Hash(), v)
 }
 
 // AddWithHash is Add with the content hash already in hand — callers that
 // also use the hash to pick a lock stripe (internal/core's sharded state
-// interner) pay for one hash pass instead of two. h must equal what the
-// set's hash function would return for v; a mismatched hash silently
-// duplicates entries.
+// interner) pay for one hash pass instead of two. Equal vectors must be
+// given equal hashes (v.Hash(), or any function of the content); a
+// mismatched hash silently duplicates entries.
 func (s *VecSet) AddWithHash(h uint64, v Vec) (id int, existed bool) {
-	for _, j := range s.buckets[h] {
+	for j := s.chain(h); j >= 0; j = s.next[j] {
 		if s.vecs[j].Equal(v) {
-			return j, true
+			return int(j), true
 		}
 	}
 	return s.insert(h, v), false
 }
 
-// AddAnd inserts (a & b), materializing the intersection only when it is
-// not already present, and returns its dense id.
-func (s *VecSet) AddAnd(a, b Vec) (id int, existed bool) {
-	return s.AddAndWithHash(s.hashAnd(a, b), a, b)
-}
-
-// AddAndWithHash is AddAnd with the derived vector's hash precomputed
-// (e.g. one side of Vec.HashPair). Same contract as AddWithHash.
+// AddAndWithHash inserts (a & b), materializing the intersection only when
+// it is not already present, and returns its dense id. h is the derived
+// vector's hash (a.HashAnd(b), or one side of Vec.HashPair); same contract
+// as AddWithHash.
 func (s *VecSet) AddAndWithHash(h uint64, a, b Vec) (id int, existed bool) {
-	for _, j := range s.buckets[h] {
+	for j := s.chain(h); j >= 0; j = s.next[j] {
 		if s.vecs[j].EqualAnd(a, b) {
-			return j, true
+			return int(j), true
 		}
 	}
 	return s.insert(h, AndOf(a, b)), false
 }
 
-// AddAndNot inserts (a &^ b), materializing the difference only when it is
-// not already present, and returns its dense id.
-func (s *VecSet) AddAndNot(a, b Vec) (id int, existed bool) {
-	return s.AddAndNotWithHash(s.hashAndNot(a, b), a, b)
-}
-
-// AddAndNotWithHash is AddAndNot with the derived vector's hash
-// precomputed. Same contract as AddWithHash.
+// AddAndNotWithHash inserts (a &^ b), materializing the difference only
+// when it is not already present, and returns its dense id. h is the
+// derived vector's hash (a.HashAndNot(b)); same contract as AddWithHash.
 func (s *VecSet) AddAndNotWithHash(h uint64, a, b Vec) (id int, existed bool) {
-	for _, j := range s.buckets[h] {
+	for j := s.chain(h); j >= 0; j = s.next[j] {
 		if s.vecs[j].EqualAndNot(a, b) {
-			return j, true
+			return int(j), true
 		}
 	}
 	return s.insert(h, AndNotOf(a, b)), false
 }
 
+// chain returns the newest id stored under hash h, or -1.
+func (s *VecSet) chain(h uint64) int32 {
+	if j, ok := s.heads[h]; ok {
+		return j
+	}
+	return -1
+}
+
 func (s *VecSet) insert(h uint64, v Vec) int {
 	id := len(s.vecs)
 	s.vecs = append(s.vecs, v)
-	s.buckets[h] = append(s.buckets[h], id)
+	s.next = append(s.next, s.chain(h))
+	s.heads[h] = int32(id)
 	return id
 }

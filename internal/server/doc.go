@@ -19,8 +19,9 @@
 //     canonical digest of the X-map plus every plan-shaping option. The
 //     worker count is deliberately excluded from the key — the engine is
 //     byte-identical for any worker count — so requests differing only in
-//     budget share entries. Hit/miss/eviction counters land in the shared
-//     internal/obs recorder.
+//     budget share entries. Entries hold each plan packed (index lists as
+//     delta varints), and every hit unpacks a fresh plan. Hit/miss/eviction
+//     counters land in the shared internal/obs recorder.
 //
 //   - Observability: /metrics exposes the recorder (request, queue, cache
 //     and pipeline counters, stage spans) in Prometheus text format next to

@@ -442,7 +442,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 // directly.
 func TestLRUEviction(t *testing.T) {
 	p := &xhybrid.Plan{}
-	c := newResultCache(2*planCost(p), nil) // room for exactly two empty plans
+	c := newResultCache(2*packPlan(p).cost(), nil) // room for exactly two empty plans
 	c.put("a", p)
 	c.put("b", p)
 	if _, ok := c.get("a"); !ok { // promote a; b is now LRU
@@ -471,7 +471,7 @@ func TestLRUEviction(t *testing.T) {
 func TestLRUByteWeighting(t *testing.T) {
 	small := &xhybrid.Plan{}
 	big := &xhybrid.Plan{Partitions: []xhybrid.PartitionInfo{{Patterns: make([]int, 1000)}}}
-	budget := 10*planCost(small) + planCost(big) - 1 // one small short of everything
+	budget := 10*packPlan(small).cost() + packPlan(big).cost() - 1 // one small short of everything
 	c := newResultCache(budget, nil)
 	for i := 0; i < 10; i++ {
 		c.put(fmt.Sprintf("s%d", i), small)

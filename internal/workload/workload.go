@@ -177,8 +177,7 @@ func (p Profile) Generate() (*xmap.XMap, error) {
 				set[r.Intn(len(set))] = r.Intn(p.Patterns)
 			}
 			for _, pat := range set {
-				if !m.Has(pat, c) {
-					m.Add(pat, c)
+				if m.TryAdd(pat, c) {
 					placed++
 				}
 			}
@@ -204,8 +203,7 @@ func (p Profile) Generate() (*xmap.XMap, error) {
 		for need > 0 {
 			pat := r.Intn(p.Patterns)
 			c := bgCells[r.Intn(bgCount)]
-			if !m.Has(pat, c) {
-				m.Add(pat, c)
+			if m.TryAdd(pat, c) {
 				need--
 			}
 			attempts++

@@ -71,8 +71,6 @@ func TestConcurrentReadersAfterUnsortedBuild(t *testing.T) {
 					m.CountIn(cell, part)
 				}
 			},
-			func() { m.IntersectingSlots(part, nil) },
-			func() { m.IntersectingSlotCounts(part, nil) },
 		}
 		for _, r := range readers {
 			for k := 0; k < 2; k++ {

@@ -83,7 +83,14 @@ func (m *XMap) Patterns() int { return m.numPatterns }
 func (m *XMap) Cells() int { return m.numCells }
 
 // Add marks cell as X under pattern p.
-func (m *XMap) Add(p, cell int) {
+func (m *XMap) Add(p, cell int) { m.TryAdd(p, cell) }
+
+// TryAdd marks cell as X under pattern p and reports whether that X is new.
+// It is the build-side membership test: unlike Has it never restores the
+// sorted order, so a generator that checks before every out-of-order insert
+// pays one slot-map probe per X instead of a full re-sort. It panics and
+// must be serialized exactly like Add.
+func (m *XMap) TryAdd(p, cell int) bool {
 	if p < 0 || p >= m.numPatterns {
 		panic(fmt.Sprintf("xmap: pattern %d out of range [0,%d)", p, m.numPatterns))
 	}
@@ -94,7 +101,11 @@ func (m *XMap) Add(p, cell int) {
 	if !ok {
 		i = m.appendCell(cell)
 	}
+	if m.cells[i].Patterns.Get(p) {
+		return false
+	}
 	m.cells[i].Patterns.Set(p)
+	return true
 }
 
 // appendCell adds a fresh CellX entry at the end of cells. Keeping the
@@ -257,57 +268,6 @@ func (m *XMap) CountIn(cell int, partition gf2.Vec) int {
 		return 0
 	}
 	return m.cells[i].Patterns.PopCountAnd(partition)
-}
-
-// IntersectingSlots returns the slots (indices into XCells) of cells that
-// capture an X under at least one pattern of the partition bitset, in
-// ascending slot order. within restricts the scan to the given candidate
-// slots (already ascending); nil means scan every X-capturing cell. Since a
-// sub-partition can only intersect cells its parent partition intersects,
-// callers can derive a child's slot list from its parent's, shrinking every
-// later scan of the child to cells that actually matter.
-func (m *XMap) IntersectingSlots(part gf2.Vec, within []int32) []int32 {
-	m.ensureSorted()
-	var out []int32
-	if within == nil {
-		for i := range m.cells {
-			if m.cells[i].Patterns.PopCountAnd(part) > 0 {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, s := range within {
-		if m.cells[s].Patterns.PopCountAnd(part) > 0 {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// IntersectingSlotCounts is IntersectingSlots also returning each kept
-// slot's in-partition X count — the popcount the filter spends anyway, which
-// callers can bank: a cell is fully X in the partition exactly when its
-// count equals the partition size, and any sub-partition's count is bounded
-// by it.
-func (m *XMap) IntersectingSlotCounts(part gf2.Vec, within []int32) (slots, counts []int32) {
-	m.ensureSorted()
-	add := func(s int32) {
-		if n := m.cells[s].Patterns.PopCountAnd(part); n > 0 {
-			slots = append(slots, s)
-			counts = append(counts, int32(n))
-		}
-	}
-	if within == nil {
-		for i := range m.cells {
-			add(int32(i))
-		}
-		return slots, counts
-	}
-	for _, s := range within {
-		add(s)
-	}
-	return slots, counts
 }
 
 // Equal reports whether two maps have identical dimensions and X locations.

@@ -53,6 +53,8 @@ func TestOutOfRangePanics(t *testing.T) {
 		func() { m.Add(-1, 0) },
 		func() { m.Add(0, 2) },
 		func() { m.Add(0, -1) },
+		func() { m.TryAdd(2, 0) },
+		func() { m.TryAdd(0, -1) },
 	} {
 		func() {
 			defer func() {
@@ -225,6 +227,30 @@ func TestLazySortInterleaved(t *testing.T) {
 	}
 }
 
+// TryAdd reports whether each X is new, builds the same map as Add, and
+// never sorts: a descending build stays unsorted until the first sorted
+// read.
+func TestTryAdd(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	m, ref := New(70, 50), New(70, 50)
+	seen := map[[2]int]bool{}
+	for i := 0; i < 600; i++ {
+		p, cell := r.Intn(70), 49-r.Intn(50)
+		key := [2]int{p, cell}
+		if got := m.TryAdd(p, cell); got == seen[key] {
+			t.Fatalf("TryAdd(%d, %d) = %v, want %v", p, cell, got, !seen[key])
+		}
+		seen[key] = true
+		ref.Add(p, cell)
+	}
+	if !m.unsorted.Load() {
+		t.Fatal("TryAdd sorted the map (or the build never went out of order)")
+	}
+	if !m.Equal(ref) || m.TotalX() != len(seen) {
+		t.Fatalf("TryAdd map differs from the Add map (TotalX %d, want %d)", m.TotalX(), len(seen))
+	}
+}
+
 // Property: insertion order does not matter.
 func TestInsertionOrderIrrelevant(t *testing.T) {
 	f := func(seed int64) bool {
@@ -287,51 +313,6 @@ func BenchmarkAddAscending(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			benchmarkAddCells(b, n, func(c int) int { return c })
 		})
-	}
-}
-
-func TestIntersectingSlots(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	m := New(40, 200)
-	for i := 0; i < 300; i++ {
-		m.Add(r.Intn(40), r.Intn(200))
-	}
-	part := gf2.NewVec(40)
-	for i := 0; i < 40; i++ {
-		if r.Intn(3) == 0 {
-			part.Set(i)
-		}
-	}
-	// Reference: every slot whose cell has an in-partition X count > 0.
-	var want []int32
-	for s, c := range m.XCells() {
-		if c.Patterns.PopCountAnd(part) > 0 {
-			want = append(want, int32(s))
-		}
-	}
-	got := m.IntersectingSlots(part, nil)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("IntersectingSlots(nil) = %v, want %v", got, want)
-	}
-	// Restricting to a superset candidate list must give the same answer, and
-	// splitting the partition must keep children within the parent's slots.
-	if again := m.IntersectingSlots(part, got); fmt.Sprint(again) != fmt.Sprint(want) {
-		t.Fatalf("IntersectingSlots(within) = %v, want %v", again, want)
-	}
-	side := part.Clone()
-	for i := 0; i < 40; i += 2 {
-		side.Clear(i)
-	}
-	rest := part.Clone()
-	rest.AndNot(side)
-	sideSlots := m.IntersectingSlots(side, got)
-	restSlots := m.IntersectingSlots(rest, got)
-	if fmt.Sprint(sideSlots) != fmt.Sprint(m.IntersectingSlots(side, nil)) ||
-		fmt.Sprint(restSlots) != fmt.Sprint(m.IntersectingSlots(rest, nil)) {
-		t.Fatal("child slot lists derived from parent differ from full scans")
-	}
-	if empty := m.IntersectingSlots(gf2.NewVec(40), nil); empty != nil {
-		t.Fatalf("empty partition intersects %v", empty)
 	}
 }
 
