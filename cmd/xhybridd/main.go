@@ -6,7 +6,7 @@
 //
 //	xhybridd [-addr :8471] [-cache-bytes N] [-queue 64]
 //	         [-concurrency N] [-job-workers N] [-job-timeout 60s]
-//	         [-drain 30s] [-spool DIR] [-checkpoint-every K]
+//	         [-drain 30s] [-spool DIR]
 //
 // Endpoints:
 //
@@ -29,12 +29,12 @@
 // LRU of -cache-bytes.
 //
 // With -spool DIR the async jobs API comes up as well: submissions are
-// spooled to DIR, checkpoint every -checkpoint-every accepted rounds, and
-// survive restarts — on startup every unfinished spooled job resumes from
-// its last good checkpoint and finishes with the byte-identical plan.
+// spooled to DIR and survive restarts — on startup every unfinished
+// spooled job re-runs from its spooled input and finishes with the
+// byte-identical plan.
 //
-//	POST   /v1/jobs             submit (same body/options as /v1/partition,
-//	                            plus checkpoint=K); answers 202 + job record.
+//	POST   /v1/jobs             submit (same body/options as /v1/partition);
+//	                            answers 202 + job record.
 //	POST   /v1/flow             submit an end-to-end circuit flow (body is a
 //	                            flow.Spec JSON: seeds + geometry + options;
 //	                            docs/FLOW.md). Same job lifecycle as
@@ -48,7 +48,7 @@
 //
 // SIGINT/SIGTERM trigger graceful shutdown: the listener closes and
 // in-flight jobs drain for up to -drain before the process exits. Spooled
-// async jobs are interrupted resumably — the next start picks them up.
+// async jobs are interrupted recoverably — the next start re-runs them.
 package main
 
 import (
@@ -76,7 +76,6 @@ func main() {
 	jobTimeout := flag.Duration("job-timeout", 60*time.Second, "per-job compute deadline (0 = unbounded)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget for in-flight jobs")
 	spool := flag.String("spool", "", "directory for durable async jobs (empty disables /v1/jobs)")
-	checkpointEvery := flag.Int("checkpoint-every", 8, "default async-job checkpoint cadence in accepted rounds")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "xhybridd: unexpected arguments %v\n", flag.Args())
@@ -88,15 +87,14 @@ func main() {
 	if *spool != "" {
 		var err error
 		mgr, err = jobs.Open(*spool, jobs.Config{
-			MaxConcurrent:   effective(*concurrency),
-			MaxQueue:        *queue,
-			CheckpointEvery: *checkpointEvery,
-			Obs:             rec,
+			MaxConcurrent: effective(*concurrency),
+			MaxQueue:      *queue,
+			Obs:           rec,
 		})
 		if err != nil {
 			log.Fatalf("xhybridd: open spool: %v", err)
 		}
-		log.Printf("xhybridd: job spool at %s (checkpoint every %d rounds)", *spool, *checkpointEvery)
+		log.Printf("xhybridd: job spool at %s", *spool)
 	}
 
 	srv, err := server.New(server.Config{
@@ -120,8 +118,8 @@ func main() {
 		*addr, *cacheBytes, *queue, effective(*concurrency))
 	err = srv.ListenAndServe(ctx, *addr)
 	if mgr != nil {
-		// Interrupt async jobs resumably: spooled state stays non-terminal
-		// and the next start recovers every unfinished job.
+		// Interrupt async jobs recoverably: spooled state stays non-terminal
+		// and the next start re-runs every unfinished job.
 		mgr.Stop()
 	}
 	if err != nil {

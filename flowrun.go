@@ -22,9 +22,8 @@ type FlowSpec = flow.Spec
 type FlowReport = flow.Report
 
 // FlowRunConfig carries the non-serialized knobs of a flow run: the stats
-// recorder, the checkpoint/resume machinery (same Checkpoint type as plain
-// partition jobs) and the per-stage progress hook (which the faultsim stage
-// also drives with per-batch "faultsim done/total" strings).
+// recorder and the per-stage progress hook (which the faultsim stage also
+// drives with per-batch "faultsim done/total" strings).
 type FlowRunConfig = flow.RunConfig
 
 // RunFlow executes the full circuit pipeline for the spec. It is RunFlowCtx

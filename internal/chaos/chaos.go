@@ -1,15 +1,13 @@
 // Package chaos is the fault-injection harness for the job spool. It
 // wraps the jobs.FS seam with deterministic, rule-driven failures —
-// transient I/O errors, torn (half-written) files, slow reads, dead
-// volumes — so tests can prove the durability claims the spool makes:
-// retries absorb transient faults, atomic-rename discipline plus the
-// checkpoint rotation survive torn writes, and recovery always lands on a
-// byte-identical plan.
+// transient I/O errors, slow reads, dead volumes — so tests can prove the
+// durability claims the spool makes: retries absorb transient faults, slow
+// I/O only slows a job down, and a dead volume fails a submission cleanly.
 //
 // Faults are matched by operation and file base name and armed with a
 // trigger count, so a scenario reads like a script: "the second rename of
-// checkpoint.json fails twice, then works". Everything is mutex-guarded
-// and counts are deterministic — no randomness, chaos you can replay.
+// job.json fails twice, then works". Everything is mutex-guarded and
+// counts are deterministic — no randomness, chaos you can replay.
 package chaos
 
 import (
@@ -50,19 +48,14 @@ type Fault struct {
 	// untouched (0 = immediately).
 	Skip int
 	// Fail makes the next Fail matching calls return Err without touching
-	// the filesystem. 0 means the rule only delays/tears.
+	// the filesystem. 0 means the rule only delays.
 	Fail int
 	// Err is the error failed calls return (nil = ErrInjected).
 	Err error
 	// Delay sleeps before the operation proceeds — slow-reader injection.
 	Delay time.Duration
-	// Tear applies to writes: the first matching call writes only the
-	// first half of the data and reports success — the classic torn write
-	// on a filesystem that lied about atomicity. One-shot.
-	Tear bool
 
 	skipped, failed int
-	torn            bool
 }
 
 // FS wraps an inner jobs.FS with fault injection. The zero value is not
@@ -73,8 +66,7 @@ type FS struct {
 	mu     sync.Mutex
 	faults []*Fault
 	dead   error
-	// Injected counts faults actually fired (fails + tears), for test
-	// assertions.
+	// Injected counts faults actually fired, for test assertions.
 	injected int
 }
 
@@ -114,9 +106,9 @@ func (c *FS) Injected() int {
 }
 
 // decide matches op/name against the armed faults and returns the action:
-// a non-nil error to fail with, a delay to sleep, and whether to tear the
-// write. Counting happens under the lock; sleeping never does.
-func (c *FS) decide(op Op, name string) (fail error, delay time.Duration, tear bool) {
+// a non-nil error to fail with and a delay to sleep. Counting happens
+// under the lock; sleeping never does.
+func (c *FS) decide(op Op, name string) (fail error, delay time.Duration) {
 	base := ""
 	if name != "" {
 		base = filepathBase(name)
@@ -125,7 +117,7 @@ func (c *FS) decide(op Op, name string) (fail error, delay time.Duration, tear b
 	defer c.mu.Unlock()
 	if c.dead != nil {
 		c.injected++
-		return c.dead, 0, false
+		return c.dead, 0
 	}
 	for _, f := range c.faults {
 		if f.Op != "" && f.Op != op {
@@ -146,15 +138,10 @@ func (c *FS) decide(op Op, name string) (fail error, delay time.Duration, tear b
 			if err == nil {
 				err = ErrInjected
 			}
-			return err, delay, false
-		}
-		if f.Tear && !f.torn && op == OpWrite {
-			f.torn = true
-			c.injected++
-			tear = true
+			return err, delay
 		}
 	}
-	return nil, delay, tear
+	return nil, delay
 }
 
 // filepathBase is path.Base for both separators without importing two
@@ -169,7 +156,7 @@ func filepathBase(name string) string {
 }
 
 func (c *FS) ReadFile(name string) ([]byte, error) {
-	fail, delay, _ := c.decide(OpRead, name)
+	fail, delay := c.decide(OpRead, name)
 	if delay > 0 {
 		time.Sleep(delay)
 	}
@@ -180,21 +167,18 @@ func (c *FS) ReadFile(name string) ([]byte, error) {
 }
 
 func (c *FS) WriteFile(name string, data []byte, perm os.FileMode) error {
-	fail, delay, tear := c.decide(OpWrite, name)
+	fail, delay := c.decide(OpWrite, name)
 	if delay > 0 {
 		time.Sleep(delay)
 	}
 	if fail != nil {
 		return fail
 	}
-	if tear {
-		return c.inner.WriteFile(name, data[:len(data)/2], perm)
-	}
 	return c.inner.WriteFile(name, data, perm)
 }
 
 func (c *FS) Rename(oldpath, newpath string) error {
-	fail, delay, _ := c.decide(OpRename, newpath)
+	fail, delay := c.decide(OpRename, newpath)
 	if delay > 0 {
 		time.Sleep(delay)
 	}
@@ -205,7 +189,7 @@ func (c *FS) Rename(oldpath, newpath string) error {
 }
 
 func (c *FS) MkdirAll(path string, perm os.FileMode) error {
-	fail, delay, _ := c.decide(OpMkdir, path)
+	fail, delay := c.decide(OpMkdir, path)
 	if delay > 0 {
 		time.Sleep(delay)
 	}
@@ -216,7 +200,7 @@ func (c *FS) MkdirAll(path string, perm os.FileMode) error {
 }
 
 func (c *FS) ReadDir(name string) ([]fs.DirEntry, error) {
-	fail, delay, _ := c.decide(OpReadDir, name)
+	fail, delay := c.decide(OpReadDir, name)
 	if delay > 0 {
 		time.Sleep(delay)
 	}
@@ -227,7 +211,7 @@ func (c *FS) ReadDir(name string) ([]fs.DirEntry, error) {
 }
 
 func (c *FS) Remove(name string) error {
-	fail, delay, _ := c.decide(OpRemove, name)
+	fail, delay := c.decide(OpRemove, name)
 	if delay > 0 {
 		time.Sleep(delay)
 	}

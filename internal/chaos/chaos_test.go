@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -22,7 +21,7 @@ func fastRetry() jobs.RetryPolicy {
 }
 
 // chaosInput is a deterministic pseudo-random X-map big enough for a
-// multi-round, multi-checkpoint run.
+// multi-round run.
 func chaosInput(t *testing.T) *xhybrid.XLocations {
 	t.Helper()
 	x, err := xhybrid.NewXLocations(8, 4, 64)
@@ -47,7 +46,7 @@ func chaosInput(t *testing.T) *xhybrid.XLocations {
 
 // chaosOptions is fully specified so no default-filling is involved.
 func chaosOptions() jobs.Options {
-	return jobs.Options{MISRSize: 16, Q: 4, Strategy: "greedy", Seed: 5, CheckpointEvery: 1}
+	return jobs.Options{MISRSize: 16, Q: 4, Strategy: "greedy", Seed: 5}
 }
 
 // reference runs the identical engine configuration synchronously.
@@ -99,8 +98,8 @@ func resultJSON(t *testing.T, m *jobs.Manager, id string) []byte {
 }
 
 // TestTransientFaultsAbsorbedByRetry: scattered one-off I/O failures on
-// metadata renames, input reads and checkpoint writes must be retried
-// away — the job completes with the exact reference plan.
+// metadata renames, input reads and result writes must be retried away —
+// the job completes with the exact reference plan.
 func TestTransientFaultsAbsorbedByRetry(t *testing.T) {
 	x := chaosInput(t)
 	want := reference(t, x)
@@ -108,7 +107,7 @@ func TestTransientFaultsAbsorbedByRetry(t *testing.T) {
 	fsys := Wrap(nil,
 		&Fault{Op: OpRename, Base: "job.json", Fail: 2},
 		&Fault{Op: OpRead, Base: "input.json", Fail: 1},
-		&Fault{Op: OpWrite, Base: "checkpoint.json.tmp", Skip: 1, Fail: 1},
+		&Fault{Op: OpWrite, Base: "result.json.tmp", Fail: 1},
 	)
 	rec := obs.New()
 	m, err := jobs.Open(t.TempDir(), jobs.Config{FS: fsys, Retry: fastRetry(), Obs: rec})
@@ -160,80 +159,6 @@ func TestSlowReadersStillComplete(t *testing.T) {
 	}
 }
 
-// TestTornCheckpointFallsBackToPrevious is the torn-write drill: the
-// second checkpoint is half-written (a filesystem that lied about
-// atomicity), the third can never land because its rotation rename is
-// dead, so the run aborts with a good previous checkpoint and a torn
-// current one on disk. Recovery must decode-reject the torn file, resume
-// from the previous checkpoint and land on the byte-identical plan.
-func TestTornCheckpointFallsBackToPrevious(t *testing.T) {
-	dir := t.TempDir()
-	x := chaosInput(t)
-	want := reference(t, x)
-
-	fsys := Wrap(nil,
-		// Second checkpoint body is torn in half (rename still succeeds).
-		&Fault{Op: OpWrite, Base: "checkpoint.json.tmp", Skip: 1, Tear: true},
-		// Third checkpoint's rotation rename fails forever: the sink
-		// errors out and the run dies mid-flight, like a crash.
-		&Fault{Op: OpRename, Base: "checkpoint.prev.json", Skip: 2, Fail: 1 << 20},
-	)
-	mA, err := jobs.Open(dir, jobs.Config{FS: fsys, Retry: fastRetry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, err := mA.Submit(context.Background(), x, chaosOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitTerminal(t, mA, meta.ID)
-	if st.State != jobs.StateFailed {
-		t.Fatalf("job under dead checkpoint rotation = %s, want failed", st.State)
-	}
-	mA.Stop()
-
-	// The torn current checkpoint must really be on disk and undecodable.
-	torn, err := os.ReadFile(filepath.Join(dir, meta.ID, "checkpoint.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if json.Valid(torn) {
-		t.Fatalf("expected a torn (invalid JSON) current checkpoint, got %d valid bytes", len(torn))
-	}
-
-	// Model the crash: the process died before it could mark the job
-	// failed, so the durable record says running.
-	store, err := jobs.NewStore(dir, nil, jobs.RetryPolicy{}, obs.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	onDisk, err := store.ReadMeta(context.Background(), meta.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	onDisk.State = jobs.StateRunning
-	onDisk.Error = ""
-	if err := store.WriteMeta(context.Background(), onDisk); err != nil {
-		t.Fatal(err)
-	}
-
-	rec := obs.New()
-	mB, err := jobs.Open(dir, jobs.Config{Obs: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mB.Stop()
-	if st := waitTerminal(t, mB, meta.ID); st.State != jobs.StateDone {
-		t.Fatalf("recovered job = %s (error %q), want done", st.State, st.Error)
-	}
-	if got := resultJSON(t, mB, meta.ID); !bytes.Equal(got, want) {
-		t.Errorf("plan recovered from torn checkpoint differs from reference")
-	}
-	if got := rec.Snapshot().CounterValue("jobs.recovered"); got != 1 {
-		t.Errorf("jobs.recovered = %d, want 1", got)
-	}
-}
-
 // TestDeadVolumeFailsSubmitCleanly: when every spool operation fails, a
 // submission must come back with an error after the retry budget — no
 // hang, no panic, no half-registered job.
@@ -267,7 +192,7 @@ func TestQueueExhaustionUnderSlowIO(t *testing.T) {
 	defer m.Stop()
 
 	x := xhybrid.PaperExample()
-	opts := jobs.Options{MISRSize: 16, Q: 2, Strategy: "paper", CheckpointEvery: 1}
+	opts := jobs.Options{MISRSize: 16, Q: 2, Strategy: "paper"}
 	j1, err := m.Submit(context.Background(), x, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +222,7 @@ func TestQueueExhaustionUnderSlowIO(t *testing.T) {
 }
 
 // TestFaultMatching pins the rule engine itself: op/base filters, skip
-// arming, fail counts, one-shot tears and the kill switch.
+// arming, fail counts and the kill switch.
 func TestFaultMatching(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "f.txt")
@@ -320,30 +245,6 @@ func TestFaultMatching(t *testing.T) {
 	// Other ops and other files are untouched.
 	if _, err := fsys.ReadFile(path); err != nil {
 		t.Errorf("read hit a write fault: %v", err)
-	}
-
-	// Tear fires once and halves the payload.
-	tearPath := filepath.Join(dir, "torn.bin")
-	fsys = Wrap(nil, &Fault{Op: OpWrite, Base: "torn.bin", Tear: true})
-	if err := fsys.WriteFile(tearPath, []byte("12345678"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	half, err := os.ReadFile(tearPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(half) != "1234" {
-		t.Errorf("torn write left %q, want half the payload", half)
-	}
-	if err := fsys.WriteFile(tearPath, []byte("12345678"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	full, err := os.ReadFile(tearPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(full) != "12345678" {
-		t.Errorf("second write also torn: %q (tear must be one-shot)", full)
 	}
 
 	// Kill is global and sticky.

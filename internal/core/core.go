@@ -67,21 +67,6 @@ type Params struct {
 	// runtime.GOMAXPROCS(0). Every parallel reduction is deterministic, so
 	// results are byte-identical for any worker count.
 	Workers int
-	// CheckpointEvery emits a checkpoint to CheckpointSink after every
-	// CheckpointEvery accepted rounds (0 disables checkpointing). Only
-	// RunCtx's round loop checkpoints; RunClustered ignores these fields.
-	CheckpointEvery int
-	// CheckpointSink receives the run's periodic checkpoints. It is called
-	// synchronously from the round loop at a commit boundary, so the
-	// checkpoint it sees is always resumable; an error from the sink aborts
-	// the run (durable callers wrap the sink with their own retry policy).
-	CheckpointSink func(*Checkpoint) error
-	// Resume, when non-nil, replays the checkpoint through the engine
-	// before the first selection round, verifying every recorded cost, and
-	// continues from where it left off — the resumed plan is byte-identical
-	// to an uninterrupted run. A checkpoint that fails verification aborts
-	// with ErrCheckpointMismatch.
-	Resume *Checkpoint
 	// Obs receives the run's counters and stage spans (rounds, candidate
 	// splits scored, masked-X recomputes, pool saturation). nil disables
 	// observation at no cost to the hot loops.
@@ -123,9 +108,6 @@ func (p Params) Validate() error {
 	}
 	if p.Workers < 0 {
 		return fmt.Errorf("core: negative Workers")
-	}
-	if p.CheckpointEvery < 0 {
-		return fmt.Errorf("core: negative CheckpointEvery")
 	}
 	return nil
 }
@@ -235,7 +217,6 @@ type evaluator struct {
 	obsIndexBuilds *obs.Counter
 	obsIndexCells  *obs.Counter
 	obsScanCols    *obs.Counter
-	obsCheckpoints *obs.Counter
 }
 
 // stateShardBits sizes the interner's lock striping; 2^6 = 64 stripes keep
@@ -286,7 +267,6 @@ func newEvaluator(ctx context.Context, m *xmap.XMap, params Params) *evaluator {
 		obsIndexBuilds: params.Obs.Counter("core.cellindex.builds"),
 		obsIndexCells:  params.Obs.Counter("core.cellindex.cells.scanned"),
 		obsScanCols:    params.Obs.Counter("core.scan.columns"),
-		obsCheckpoints: params.Obs.Counter("core.checkpoints.emitted"),
 	}
 	for i := range e.shards {
 		e.shards[i].idx = gf2.NewVecSet()

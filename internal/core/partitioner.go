@@ -68,19 +68,8 @@ func RunCtx(ctx context.Context, m *xmap.XMap, params Params) (*Result, error) {
 
 	var rounds []Round
 	round := 0
-	if params.Resume != nil {
-		end := params.Obs.Span("core.resume")
-		var rerr error
-		live, rounds, masked, maskBits, cost, round, rerr = e.replay(params.Resume, root, rng)
-		end()
-		if rerr != nil {
-			return nil, rerr
-		}
-		params.Obs.Set("core.resume.rounds", int64(round))
-	}
 	strat := params.strategy()
 	sel := &Selection{e: e, rng: rng}
-	sinceCheckpoint := 0
 outer:
 	for {
 		if err := e.err(); err != nil {
@@ -144,15 +133,6 @@ outer:
 				live[cand.Partition+1] = rs
 				masked, maskBits, cost = newMasked, newMaskBits, newCost
 				committed = true
-				sinceCheckpoint++
-				if params.CheckpointSink != nil && params.CheckpointEvery > 0 &&
-					sinceCheckpoint >= params.CheckpointEvery {
-					sinceCheckpoint = 0
-					e.obsCheckpoints.Inc()
-					if cerr := params.CheckpointSink(e.checkpoint(live, rounds, masked, maskBits, cost)); cerr != nil {
-						return nil, fmt.Errorf("core: checkpoint sink: %w", cerr)
-					}
-				}
 				break
 			}
 		}

@@ -25,8 +25,8 @@ var (
 	// aliases maps accepted alternate spellings onto canonical names.
 	// "greedy" predates the registry as the facade/flow/jobs wire spelling
 	// of greedy-cost; old spooled jobs and client scripts still carry it.
-	// Aliases never appear as Strategy.Name(): checkpoints, spool records
-	// and reports always carry the canonical spelling.
+	// Aliases never appear as Strategy.Name(): spool records and reports
+	// always carry the canonical spelling.
 	aliases = map[string]string{"greedy": "greedy-cost"}
 )
 

@@ -9,8 +9,8 @@ import (
 
 // TestRegistryContents pins the shipped vocabulary: four canonical
 // strategies plus the legacy "greedy" spelling. Growing this list is fine;
-// renaming or dropping a name breaks spooled jobs and checkpoints, so the
-// test spells the whole set out.
+// renaming or dropping a name breaks spooled jobs, so the test spells the
+// whole set out.
 func TestRegistryContents(t *testing.T) {
 	wantNames := []string{"greedy-cost", "paper", "paper-random", "paper-retry"}
 	if got := StrategyNames(); !reflect.DeepEqual(got, wantNames) {

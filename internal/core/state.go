@@ -309,17 +309,3 @@ func (e *evaluator) contrib(st *partState) int {
 func (e *evaluator) cancelBits(masked int) int {
 	return xcancel.ControlBits(e.totalX-masked, e.params.Cancel.MISR.Size, e.params.Cancel.Q)
 }
-
-// costOf sums the full cost of a partition list from its cached stats:
-// cost = sum of mask contributions + cancel bits of the residual. The
-// running-total bookkeeping in RunCtx and the delta scoring are exact
-// integer rearrangements of this sum.
-func (e *evaluator) costOf(states []*partState) int {
-	e.obsFull.Inc()
-	masked, maskBits := 0, 0
-	for _, st := range states {
-		masked += st.maskedX
-		maskBits += e.contrib(st)
-	}
-	return maskBits + e.cancelBits(masked)
-}

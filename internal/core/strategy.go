@@ -1,43 +1,24 @@
 package core
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // Strategy is the pluggable split-selection rule of the partitioner. The
 // engine owns everything else — delta pricing, the accept gate (a split
 // commits only when it strictly lowers the standard mask+cancel cost),
-// state interning, checkpointing and the final accounting — so a Strategy
-// only decides which splits to try, in which order, each round.
+// state interning and the final accounting — so a Strategy only decides
+// which splits to try, in which order, each round.
 //
 // Implementations must be safe for concurrent use by independent runs: a
 // built-in Strategy is a shared singleton and Select receives all per-run
 // state through the Selection. Select is called once per round; the engine
 // tries the returned candidates in order and commits the first one the cost
 // function accepts. Returning no candidates ends the run.
-//
-// Checkpoint/resume needs no cooperation from a Strategy: the engine
-// replays the recorded attempt trace, which captures selection outcomes,
-// not selection logic. The one exception is a strategy that consumes
-// Params.Seed rng draws — implement RoundReplayer to restore the stream
-// position on resume.
 type Strategy interface {
 	// Name is the canonical registry name — the wire vocabulary of the
-	// facade, flow specs, jobs and the HTTP API, and the string checkpoints
-	// record.
+	// facade, flow specs, jobs and the HTTP API.
 	Name() string
 	// Select returns the round's candidate splits in preference order.
 	Select(sc *Selection) []Split
-}
-
-// RoundReplayer is implemented by strategies whose Select consumes
-// Params.Seed rng draws (one per attempted round). On resume the engine
-// calls ReplayRound once per recorded round so the continuation sees the
-// rng stream exactly where the uninterrupted run would have left it. An
-// error marks the checkpoint as not replayable under this strategy.
-type RoundReplayer interface {
-	ReplayRound(rng *rand.Rand, r Round) error
 }
 
 // Split is one candidate partitioning step: cut partition Partition (an
@@ -80,9 +61,6 @@ func (p Params) strategy() Strategy {
 	}
 	return p.Strategy
 }
-
-// strategyName names the resolved strategy (checkpoints record it).
-func (p Params) strategyName() string { return p.strategy().Name() }
 
 // The built-in strategies. The three paper-family selectors and the greedy
 // selector call straight into the evaluator's private machinery — they are
@@ -128,17 +106,6 @@ func (s paperRandomStrategy) Select(sc *Selection) []Split {
 	if cand := sc.e.selectPaper(sc.live, true, sc.rng); cand != nil {
 		return []Split{*cand}
 	}
-	return nil
-}
-
-// ReplayRound consumes the one draw selectPaper spent on the recorded
-// attempt — Intn(len(group.Cells)), with Round.GroupSize recording the
-// group size — restoring the rng stream for the continuation.
-func (paperRandomStrategy) ReplayRound(rng *rand.Rand, r Round) error {
-	if r.GroupSize < 1 {
-		return fmt.Errorf("round %d records group size %d under paper-random", r.Round, r.GroupSize)
-	}
-	rng.Intn(r.GroupSize)
 	return nil
 }
 

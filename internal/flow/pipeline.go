@@ -156,12 +156,6 @@ func (s *Spec) strategy() (core.Strategy, error) {
 type RunConfig struct {
 	// Obs receives per-stage spans and the engine's counters; nil disables.
 	Obs *obs.Recorder
-	// CheckpointEvery / CheckpointSink / Resume thread the partitioning
-	// engine's durable-checkpoint machinery through the partition stage,
-	// exactly as for a plain partition job (see core.Params).
-	CheckpointEvery int
-	CheckpointSink  func(*core.Checkpoint) error
-	Resume          *core.Checkpoint
 	// OnStage, when set, is called with each stage's name as it starts —
 	// the /v1/flow SSE progress hook. During the faultsim stage it is also
 	// called with per-batch "faultsim done/total" progress strings, possibly
@@ -404,16 +398,13 @@ func RunSpec(ctx context.Context, spec Spec, cfg RunConfig) (*Report, error) {
 		return nil, err
 	}
 	prog, err := BuildCtx(ctx, m, core.Params{
-		Geom:            geom,
-		Cancel:          xcancel.Config{MISR: mcfg, Q: spec.Q},
-		Strategy:        strat,
-		Seed:            spec.Seed,
-		MaxRounds:       spec.MaxRounds,
-		Workers:         spec.Workers,
-		Obs:             cfg.Obs,
-		CheckpointEvery: cfg.CheckpointEvery,
-		CheckpointSink:  cfg.CheckpointSink,
-		Resume:          cfg.Resume,
+		Geom:      geom,
+		Cancel:    xcancel.Config{MISR: mcfg, Q: spec.Q},
+		Strategy:  strat,
+		Seed:      spec.Seed,
+		MaxRounds: spec.MaxRounds,
+		Workers:   spec.Workers,
+		Obs:       cfg.Obs,
 	}, tester.Config{Channels: spec.MISRSize, OverlapMaskLoad: true})
 	end()
 	if err != nil {

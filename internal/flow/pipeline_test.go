@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"xhybrid/internal/atpg"
-	"xhybrid/internal/core"
 	"xhybrid/internal/logic"
 	"xhybrid/internal/netlist"
 	"xhybrid/internal/obs"
@@ -247,43 +246,6 @@ func TestXMapMatchesSerialSim(t *testing.T) {
 					p, cell, m.Has(p, cell), serialX)
 			}
 		}
-	}
-}
-
-// TestRunSpecResume interrupts nothing but replays the checkpoint path: a
-// run with a checkpoint sink captures the engine's mid-flight state, and a
-// second run resumed from the first captured checkpoint must reach the
-// identical deterministic report (digest, plan, replay — never wall times).
-func TestRunSpecResume(t *testing.T) {
-	spec := testSpec()
-	var cps []*core.Checkpoint
-	full, err := RunSpec(context.Background(), spec, RunConfig{
-		CheckpointEvery: 1,
-		CheckpointSink: func(cp *core.Checkpoint) error {
-			cps = append(cps, cp)
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cps) == 0 {
-		t.Fatal("no checkpoints captured; testSpec should drive a multi-round run")
-	}
-	resumed, err := RunSpec(context.Background(), spec, RunConfig{Resume: cps[0]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.XMapDigest != full.XMapDigest {
-		t.Errorf("resumed digest %s != full run %s", resumed.XMapDigest, full.XMapDigest)
-	}
-	if resumed.TotalBits != full.TotalBits || resumed.Partitions != full.Partitions || resumed.Rounds != full.Rounds {
-		t.Errorf("resumed plan (%d bits, %d partitions, %d rounds) != full run (%d, %d, %d)",
-			resumed.TotalBits, resumed.Partitions, resumed.Rounds,
-			full.TotalBits, full.Partitions, full.Rounds)
-	}
-	if resumed.Replay != full.Replay {
-		t.Errorf("resumed replay %+v != full run %+v", resumed.Replay, full.Replay)
 	}
 }
 

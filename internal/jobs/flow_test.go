@@ -3,8 +3,6 @@ package jobs
 import (
 	"context"
 	"errors"
-	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -13,7 +11,7 @@ import (
 )
 
 // testFlowSpec is a small deterministic end-to-end flow: multi-round under
-// greedy so checkpoints accumulate, sub-second on one CPU.
+// greedy, sub-second on one CPU.
 func testFlowSpec() xhybrid.FlowSpec {
 	return xhybrid.FlowSpec{
 		Cells:       256,
@@ -52,7 +50,7 @@ func assertFlowReportsMatch(t *testing.T, got, want *xhybrid.FlowReport) {
 
 func TestFlowJobLifecycle(t *testing.T) {
 	rec := obs.New()
-	m, err := Open(t.TempDir(), Config{CheckpointEvery: 1, Obs: rec})
+	m, err := Open(t.TempDir(), Config{Obs: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,10 +111,9 @@ func TestSubmitFlowRejectsBadSpec(t *testing.T) {
 }
 
 // TestFlowJobStopResumes is the flow edition of the crash drill: the
-// manager stops mid-partition right as the first checkpoint lands, the
-// spooled record stays resumable, and a fresh manager over the same spool
-// finishes the job to the same deterministic report as an uninterrupted
-// run.
+// manager stops while the job is running, the spooled record stays
+// recoverable, and a fresh manager over the same spool re-runs the job to
+// the same deterministic report as an uninterrupted run.
 func TestFlowJobStopResumes(t *testing.T) {
 	dir := t.TempDir()
 	want, err := xhybrid.RunFlow(testFlowSpec())
@@ -126,15 +123,8 @@ func TestFlowJobStopResumes(t *testing.T) {
 
 	hit := make(chan struct{})
 	gate := make(chan struct{})
-	var once sync.Once
-	fsys := &hookFS{FS: OSFS{}, beforeWrite: func(name string) {
-		if filepath.Base(name) == checkpointFile+tmpSuffix {
-			once.Do(func() { close(hit) })
-			<-gate
-		}
-	}}
-
-	mA, err := Open(dir, Config{FS: fsys, CheckpointEvery: 1})
+	recA := obs.New()
+	mA, err := Open(dir, Config{FS: stopGateFS(hit, gate), Obs: recA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,14 +148,17 @@ func TestFlowJobStopResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if onDisk.State.Terminal() {
-		t.Fatalf("interrupted flow job spooled as %s, want a resumable state", onDisk.State)
+		t.Fatalf("interrupted flow job spooled as %s, want a recoverable state", onDisk.State)
 	}
 	if onDisk.Kind != KindFlow {
 		t.Fatalf("spooled kind %q, want %q", onDisk.Kind, KindFlow)
 	}
+	if got := recA.Snapshot().CounterValue("jobs.interrupted"); got != 1 {
+		t.Errorf("jobs.interrupted = %d, want 1", got)
+	}
 
 	rec := obs.New()
-	mB, err := Open(dir, Config{CheckpointEvery: 1, Obs: rec})
+	mB, err := Open(dir, Config{Obs: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,19 +1,15 @@
-// Package jobs implements crash-durable asynchronous partition jobs: a
-// disk spool that persists each job's input X-map, normalized options,
-// periodic engine checkpoints and final plan, plus a manager that runs
-// jobs on a bounded worker pool and — after a crash, SIGKILL or restart —
-// resumes every unfinished job from its last good checkpoint. Resume is
-// exact: the engine replays the checkpoint's committed trace and the
-// finished plan is byte-identical to an uninterrupted run (see
-// internal/core's Checkpoint and the resume tests).
+// Package jobs implements crash-durable asynchronous partition and flow
+// jobs: a disk spool that persists each job's input, normalized options,
+// state and final result, plus a manager that runs jobs on a bounded
+// worker pool and — after a crash, SIGKILL or restart — re-runs every
+// unfinished job from its spooled input. The engine is deterministic, so
+// a re-run plan is byte-identical to an uninterrupted one, and a re-run
+// flow report differs only in its stage wall times.
 //
 // Durability model: every spool mutation is write-to-temp + atomic rename,
-// and the checkpoint file rotates through a current/previous pair, so a
-// crash at any instant leaves at least one complete, resumable state on
-// disk. Transient spool I/O errors are retried with exponential backoff
-// and jitter (RetryPolicy); torn or corrupted checkpoints are detected at
-// decode or replay time and recovery falls back to the previous
-// checkpoint, then to a from-scratch run — never a crash.
+// so a crash at any instant leaves each spool file either old or new,
+// never torn. Transient spool I/O errors are retried with exponential
+// backoff and jitter (RetryPolicy).
 //
 // This package implements the jobs/spool extension of DESIGN.md §7;
 // internal/chaos injects its failure modes.
@@ -41,7 +37,7 @@ const (
 	// StateSubmitted: spooled, waiting for a run slot.
 	StateSubmitted State = "submitted"
 	// StateRunning: computing (or interrupted mid-compute by a crash — a
-	// spooled "running" job found at startup is resumed).
+	// spooled "running" job found at startup is re-run).
 	StateRunning State = "running"
 	// StateDone: finished; the result is spooled.
 	StateDone State = "done"
@@ -60,9 +56,7 @@ const (
 	// it.
 	KindPartition = ""
 	// KindFlow runs the full circuit pipeline (generate → ATPG → simulate →
-	// extract → partition → replay) from a spooled FlowSpec. The partition
-	// stage checkpoints and resumes exactly like a KindPartition job; the
-	// earlier stages are re-derived from the spec's seeds on resume.
+	// extract → partition → replay) from a spooled FlowSpec.
 	KindFlow = "flow"
 )
 
@@ -81,30 +75,25 @@ var (
 // paper); Strategy is stored normalized so equal submissions spool
 // equally.
 type Options struct {
-	MISRSize        int    `json:"m,omitempty"`
-	Q               int    `json:"q,omitempty"`
-	Strategy        string `json:"strategy,omitempty"`
-	Seed            int64  `json:"seed,omitempty"`
-	MaxRounds       int    `json:"maxRounds,omitempty"`
-	Workers         int    `json:"workers,omitempty"`
-	CheckpointEvery int    `json:"checkpointEvery,omitempty"`
+	MISRSize  int    `json:"m,omitempty"`
+	Q         int    `json:"q,omitempty"`
+	Strategy  string `json:"strategy,omitempty"`
+	Seed      int64  `json:"seed,omitempty"`
+	MaxRounds int    `json:"maxRounds,omitempty"`
+	Workers   int    `json:"workers,omitempty"`
 }
 
 // Normalized fills defaults and validates the strategy (the one name a bad
 // submission should fail fast on instead of failing asynchronously). The
 // engine defaults and the strategy canonicalization are the facade's own
 // xhybrid.Options.Normalized — one source of truth, so a spooled job's
-// options always equal what the facade would have derived — plus the
-// manager's checkpoint cadence for jobs that did not choose their own.
-func (o Options) Normalized(defaultCheckpointEvery int) (Options, error) {
+// options always equal what the facade would have derived.
+func (o Options) Normalized() (Options, error) {
 	x, err := o.xhybrid().Normalized()
 	if err != nil {
 		return o, fmt.Errorf("jobs: %w", err)
 	}
 	o.MISRSize, o.Q, o.Strategy = x.MISRSize, x.Q, x.Strategy
-	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = defaultCheckpointEvery
-	}
 	return o, nil
 }
 
@@ -120,23 +109,17 @@ func (o Options) xhybrid() xhybrid.Options {
 }
 
 // Progress is a running job's live progress, sampled from its per-job
-// recorder. For a resumed job the counters restart at the resume point;
-// Rounds always reports the durable attempt-trace length from the last
-// checkpoint.
+// recorder. A recovered job re-runs from its input, so its counters start
+// again from zero.
 type Progress struct {
 	// Stage names the pipeline stage a flow job is currently in (generate,
 	// atpg, simulate, extract, partition, replay, faultsim); empty for
 	// partition jobs and idle flow jobs.
 	Stage string `json:"stage,omitempty"`
-	// Rounds is the attempt-trace length at the last checkpoint.
-	Rounds int64 `json:"rounds"`
 	// LiveRounds / LiveAccepted count rounds attempted/accepted since this
 	// process started the job (from the obs counters).
 	LiveRounds   int64 `json:"liveRounds"`
 	LiveAccepted int64 `json:"liveAccepted"`
-	// Checkpoints counts checkpoints written since this process started
-	// the job.
-	Checkpoints int64 `json:"checkpoints"`
 }
 
 // Status is one job's metadata plus live progress.
@@ -154,9 +137,6 @@ type Config struct {
 	// returns ErrQueueFull. Recovered jobs bypass the cap — they are
 	// already durable.
 	MaxQueue int
-	// CheckpointEvery is the default checkpoint cadence in accepted rounds
-	// for jobs that do not choose their own (default 8).
-	CheckpointEvery int
 	// Retry is the spool I/O retry policy.
 	Retry RetryPolicy
 	// FS overrides the spool filesystem (nil = the real one); the chaos
@@ -174,9 +154,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 64
 	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 8
-	}
 	if c.Obs == nil {
 		c.Obs = obs.New()
 	}
@@ -187,8 +164,6 @@ func (c Config) withDefaults() Config {
 type jobHandle struct {
 	cancel       context.CancelFunc
 	rec          *obs.Recorder
-	rounds       atomic.Int64 // durable trace length at last checkpoint
-	checkpoints  atomic.Int64
 	userCanceled atomic.Bool
 	stage        atomic.Value // string: current flow stage name
 }
@@ -201,8 +176,8 @@ func (h *jobHandle) currentStage() string {
 }
 
 // Manager runs spooled jobs on a bounded pool. Open recovers unfinished
-// jobs from the spool; Stop interrupts running jobs in a resumable way
-// (their spooled state stays "running" and the next Open picks them up).
+// jobs from the spool; Stop interrupts running jobs recoverably (their
+// spooled state stays "running" and the next Open re-runs them).
 type Manager struct {
 	cfg   Config
 	store *Store
@@ -223,8 +198,6 @@ type Manager struct {
 	canceled    *obs.Counter
 	recovered   *obs.Counter
 	interrupted *obs.Counter
-	cpWritten   *obs.Counter
-	cpRejected  *obs.Counter
 }
 
 // Open creates a manager over the spool at dir and re-enqueues every
@@ -251,8 +224,6 @@ func Open(dir string, cfg Config) (*Manager, error) {
 		canceled:    cfg.Obs.Counter("jobs.canceled"),
 		recovered:   cfg.Obs.Counter("jobs.recovered"),
 		interrupted: cfg.Obs.Counter("jobs.interrupted"),
-		cpWritten:   cfg.Obs.Counter("jobs.checkpoints.written"),
-		cpRejected:  cfg.Obs.Counter("jobs.checkpoints.rejected"),
 	}
 	metas, err := store.List(ctx)
 	if err != nil {
@@ -275,7 +246,7 @@ func (m *Manager) Store() *Store { return m.store }
 
 // Submit spools a new job and enqueues it, returning its metadata.
 func (m *Manager) Submit(ctx context.Context, x *xhybrid.XLocations, opts Options) (Meta, error) {
-	norm, err := opts.Normalized(m.cfg.CheckpointEvery)
+	norm, err := opts.Normalized()
 	if err != nil {
 		return Meta{}, err
 	}
@@ -314,7 +285,7 @@ func (m *Manager) SubmitFlow(ctx context.Context, spec xhybrid.FlowSpec) (Meta, 
 		ID:      newID(),
 		Kind:    KindFlow,
 		State:   StateSubmitted,
-		Options: Options{Workers: spec.Workers, CheckpointEvery: m.cfg.CheckpointEvery},
+		Options: Options{Workers: spec.Workers},
 		Created: time.Now().UTC(),
 	}
 	if err := m.store.CreateFlowJob(ctx, meta, &spec); err != nil {
@@ -340,7 +311,6 @@ func (m *Manager) enqueue(meta Meta, force bool) bool {
 	}
 	ctx, cancel := context.WithCancel(m.baseCtx)
 	h := &jobHandle{cancel: cancel, rec: obs.New()}
-	h.rounds.Store(int64(meta.Rounds))
 	m.mu.Lock()
 	m.active[meta.ID] = h
 	m.mu.Unlock()
@@ -349,7 +319,7 @@ func (m *Manager) enqueue(meta Meta, force bool) bool {
 	return true
 }
 
-// run drives one job from slot acquisition to a terminal (or resumable)
+// run drives one job from slot acquisition to a terminal (or recoverable)
 // state.
 func (m *Manager) run(ctx context.Context, meta Meta, h *jobHandle) {
 	defer m.wg.Done()
@@ -381,94 +351,37 @@ func (m *Manager) run(ctx context.Context, meta Meta, h *jobHandle) {
 		m.finish(meta, h, nil, err)
 		return
 	}
-
-	// Resume ladder: current checkpoint, previous checkpoint, scratch. A
-	// checkpoint that fails decode never appears here; one that fails
-	// replay verification is rejected by the engine and the next rung is
-	// tried.
-	var plan *xhybrid.Plan
-	for _, cp := range m.resumeLadder(ctx, meta.ID) {
-		opt := meta.Options.xhybrid()
-		opt.Stats = h.rec
-		opt.CheckpointEvery = meta.Options.CheckpointEvery
-		opt.Resume = cp
-		opt.CheckpointSink = m.checkpointSink(ctx, meta.ID, h)
-		plan, err = xhybrid.PartitionCtx(ctx, x, opt)
-		if errors.Is(err, xhybrid.ErrCheckpointMismatch) {
-			m.cpRejected.Inc()
-			continue
-		}
-		break
-	}
+	opt := meta.Options.xhybrid()
+	opt.Stats = h.rec
+	plan, err := xhybrid.PartitionCtx(ctx, x, opt)
 	m.finish(meta, h, func() error {
 		return m.store.WriteResult(context.Background(), meta.ID, plan)
 	}, err)
 }
 
-// runFlow drives a KindFlow job: the spooled spec is re-run front to back,
-// with the partition stage checkpointing through the same spool machinery
-// as a plain partition job. On resume the deterministic pre-partition
-// stages (generate/ATPG/simulate/extract) are re-derived from the spec's
-// seeds — they are pure functions of it — and the partitioner continues
-// from the checkpointed trace, falling down the same cur → prev → scratch
-// ladder on mismatch.
+// runFlow drives a KindFlow job: the spooled spec is run front to back.
 func (m *Manager) runFlow(ctx context.Context, meta Meta, h *jobHandle) {
 	spec, err := m.store.ReadFlowSpec(ctx, meta.ID)
 	if err != nil {
 		m.finish(meta, h, nil, err)
 		return
 	}
-	var rep *xhybrid.FlowReport
-	for _, cp := range m.resumeLadder(ctx, meta.ID) {
-		rep, err = xhybrid.RunFlowCtx(ctx, *spec, xhybrid.FlowRunConfig{
-			Obs:             h.rec,
-			CheckpointEvery: meta.Options.CheckpointEvery,
-			CheckpointSink:  m.checkpointSink(ctx, meta.ID, h),
-			Resume:          cp,
-			OnStage:         h.setStage,
-		})
-		if errors.Is(err, xhybrid.ErrCheckpointMismatch) {
-			m.cpRejected.Inc()
-			continue
-		}
-		break
-	}
+	rep, err := xhybrid.RunFlowCtx(ctx, *spec, xhybrid.FlowRunConfig{
+		Obs:     h.rec,
+		OnStage: h.setStage,
+	})
 	m.finish(meta, h, func() error {
 		return m.store.WriteFlowResult(context.Background(), meta.ID, rep)
 	}, err)
 }
 
-// resumeLadder returns the resume attempts for a job, newest checkpoint
-// first and a from-scratch nil last.
-func (m *Manager) resumeLadder(ctx context.Context, id string) []*xhybrid.Checkpoint {
-	resumes := m.store.ReadCheckpoints(ctx, id)
-	attempts := make([]*xhybrid.Checkpoint, 0, len(resumes)+1)
-	attempts = append(attempts, resumes...)
-	return append(attempts, nil)
-}
-
-// checkpointSink returns the engine sink that spools each checkpoint and
-// advances the handle's durable progress counters.
-func (m *Manager) checkpointSink(ctx context.Context, id string, h *jobHandle) func(*xhybrid.Checkpoint) error {
-	return func(c *xhybrid.Checkpoint) error {
-		if err := m.store.WriteCheckpoint(ctx, id, c); err != nil {
-			return err
-		}
-		h.rounds.Store(int64(len(c.Rounds)))
-		h.checkpoints.Add(1)
-		m.cpWritten.Inc()
-		return nil
-	}
-}
-
 // finish writes the job's terminal state — or, when the whole manager is
 // shutting down, leaves the spooled "running" record alone so the next
-// Open resumes the job. persist spools the kind-specific result (only
+// Open re-runs the job. persist spools the kind-specific result (only
 // called when the job succeeded). Terminal writes use a background
 // context: the job's own context is typically already dead here.
 func (m *Manager) finish(meta Meta, h *jobHandle, persist func() error, err error) {
 	defer m.release(meta.ID)
-	meta.Rounds = int(h.rounds.Load())
 	switch {
 	case err == nil:
 		if werr := persist(); werr != nil {
@@ -499,14 +412,12 @@ func (m *Manager) finish(meta Meta, h *jobHandle, persist func() error, err erro
 }
 
 // finishInterrupted handles manager shutdown: the spooled state stays
-// submitted/running so the next Open recovers the job from its last
-// checkpoint.
+// submitted/running so the next Open re-runs the job from its input.
 func (m *Manager) finishInterrupted(meta Meta, h *jobHandle) {
 	if h.userCanceled.Load() {
 		meta.State = StateFailed
 		meta.Error = "job canceled"
 		meta.Finished = time.Now().UTC()
-		meta.Rounds = int(h.rounds.Load())
 		_ = m.store.WriteMeta(context.Background(), meta)
 		m.canceled.Inc()
 	} else {
@@ -534,14 +445,12 @@ func (m *Manager) Get(ctx context.Context, id string) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	st := Status{Meta: meta, Progress: Progress{Rounds: int64(meta.Rounds)}}
+	st := Status{Meta: meta}
 	if h := m.handle(id); h != nil {
 		snap := h.rec.Snapshot()
 		st.Progress.Stage = h.currentStage()
-		st.Progress.Rounds = h.rounds.Load()
 		st.Progress.LiveRounds = snap.CounterValue("core.rounds")
 		st.Progress.LiveAccepted = snap.CounterValue("core.rounds.accepted")
-		st.Progress.Checkpoints = h.checkpoints.Load()
 	}
 	return st, nil
 }
@@ -628,7 +537,7 @@ func (m *Manager) Cancel(ctx context.Context, id string) error {
 		return nil
 	}
 	// Spooled but not active in this process (e.g. the manager is
-	// stopping): mark it failed so it is not resumed at the next Open.
+	// stopping): mark it failed so it is not re-run at the next Open.
 	meta.State = StateFailed
 	meta.Error = "job canceled"
 	meta.Finished = time.Now().UTC()
@@ -641,8 +550,8 @@ func (m *Manager) Depth() (running, waiting int64) {
 	return int64(len(m.sem)), m.waiting.Load()
 }
 
-// Stop interrupts every queued and running job resumably (spooled state
-// stays non-terminal; the next Open recovers it) and waits for the
+// Stop interrupts every queued and running job recoverably (spooled state
+// stays non-terminal; the next Open re-runs it) and waits for the
 // goroutines to exit. The manager must not be used afterwards.
 func (m *Manager) Stop() {
 	m.baseCancel()

@@ -16,7 +16,7 @@ import (
 )
 
 // testInput builds a deterministic pseudo-random X-map big enough for a
-// multi-round greedy run (so checkpoints actually accumulate).
+// multi-round greedy run.
 func testInput(t *testing.T) *xhybrid.XLocations {
 	t.Helper()
 	x, err := xhybrid.NewXLocations(8, 4, 64)
@@ -40,14 +40,14 @@ func testInput(t *testing.T) *xhybrid.XLocations {
 }
 
 func testOptions() Options {
-	return Options{MISRSize: 16, Q: 4, Strategy: "greedy", Seed: 3, CheckpointEvery: 1}
+	return Options{MISRSize: 16, Q: 4, Strategy: "greedy", Seed: 3}
 }
 
 // referencePlan runs the same normalized options synchronously — the
-// byte-identical yardstick every async/resumed run is held to.
+// byte-identical yardstick every async/recovered run is held to.
 func referencePlan(t *testing.T, x *xhybrid.XLocations, opts Options) (*xhybrid.Plan, []byte, []byte) {
 	t.Helper()
-	norm, err := opts.Normalized(8)
+	norm, err := opts.Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,9 +165,6 @@ func TestJobLifecycle(t *testing.T) {
 	if st.Finished.IsZero() || st.Started.IsZero() {
 		t.Fatalf("done job missing timestamps: %+v", st.Meta)
 	}
-	if st.Rounds == 0 {
-		t.Fatalf("done job recorded 0 checkpointed rounds; expected a multi-round run")
-	}
 
 	plan, err := m.Result(context.Background(), meta.ID)
 	if err != nil {
@@ -198,9 +195,6 @@ func TestJobLifecycle(t *testing.T) {
 	}
 	if got := snap.CounterValue("jobs.completed"); got != 1 {
 		t.Errorf("jobs.completed = %d, want 1", got)
-	}
-	if got := snap.CounterValue("jobs.checkpoints.written"); got < 2 {
-		t.Errorf("jobs.checkpoints.written = %d, want >= 2 (checkpointEvery=1 on a multi-round run)", got)
 	}
 }
 
@@ -321,26 +315,31 @@ func TestCancel(t *testing.T) {
 	}
 }
 
+// stopGateFS signals hit and then blocks on gate at the first input.json
+// read, which follows the job's "running" state write: the job is frozen
+// mid-run, at a known point, while the test stops the manager.
+func stopGateFS(hit, gate chan struct{}) *hookFS {
+	var once sync.Once
+	return &hookFS{FS: OSFS{}, beforeRead: func(name string) {
+		if filepath.Base(name) == inputFile {
+			once.Do(func() { close(hit) })
+			<-gate
+		}
+	}}
+}
+
 // TestStopInterruptsResumably is the in-process crash drill: the manager
-// is stopped right after the first checkpoint lands, the spooled state
-// stays "running", and a fresh manager over the same spool resumes the
-// job to a plan byte-identical to an uninterrupted run.
+// is stopped while the job is running, the spooled state stays "running",
+// and a fresh manager over the same spool re-runs the job to a plan
+// byte-identical to an uninterrupted run.
 func TestStopInterruptsResumably(t *testing.T) {
 	dir := t.TempDir()
 	x := testInput(t)
 	_, wantJSON, wantText := referencePlan(t, x, testOptions())
 
-	// Gate: the first checkpoint temp-file write signals and then blocks,
-	// freezing the engine at a known boundary while Stop fires.
 	hit := make(chan struct{})
 	gate := make(chan struct{})
-	var once sync.Once
-	fsys := &hookFS{FS: OSFS{}, beforeWrite: func(name string) {
-		if filepath.Base(name) == checkpointFile+tmpSuffix {
-			once.Do(func() { close(hit) })
-			<-gate
-		}
-	}}
+	fsys := stopGateFS(hit, gate)
 
 	recA := obs.New()
 	mA, err := Open(dir, Config{FS: fsys, Obs: recA})
@@ -369,7 +368,7 @@ func TestStopInterruptsResumably(t *testing.T) {
 		t.Fatal(err)
 	}
 	if onDisk.State.Terminal() {
-		t.Fatalf("interrupted job spooled as %s, want a resumable state", onDisk.State)
+		t.Fatalf("interrupted job spooled as %s, want a recoverable state", onDisk.State)
 	}
 	if got := recA.Snapshot().CounterValue("jobs.interrupted"); got != 1 {
 		t.Errorf("jobs.interrupted = %d, want 1", got)
@@ -394,10 +393,10 @@ func TestStopInterruptsResumably(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(planJSON(t, plan), wantJSON) {
-		t.Errorf("resumed plan JSON differs from uninterrupted run")
+		t.Errorf("recovered plan JSON differs from uninterrupted run")
 	}
 	if !bytes.Equal(planText(t, plan, x), wantText) {
-		t.Errorf("resumed plan text differs from uninterrupted run")
+		t.Errorf("recovered plan text differs from uninterrupted run")
 	}
 	snap := recB.Snapshot()
 	if got := snap.CounterValue("jobs.recovered"); got != 1 {
@@ -409,27 +408,27 @@ func TestStopInterruptsResumably(t *testing.T) {
 }
 
 func TestOptionsNormalize(t *testing.T) {
-	norm, err := Options{}.Normalized(8)
+	norm, err := Options{}.Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Options{MISRSize: 32, Q: 7, Strategy: "paper", CheckpointEvery: 8}
+	want := Options{MISRSize: 32, Q: 7, Strategy: "paper"}
 	if norm != want {
 		t.Errorf("normalize(zero) = %+v, want %+v", norm, want)
 	}
-	norm, err = Options{MISRSize: 16, Q: 3, Strategy: "greedy", CheckpointEvery: 2}.Normalized(8)
+	norm, err = Options{MISRSize: 16, Q: 3, Strategy: "greedy"}.Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if norm.CheckpointEvery != 2 || norm.MISRSize != 16 {
+	if norm.Q != 3 || norm.MISRSize != 16 {
 		t.Errorf("normalize kept values wrong: %+v", norm)
 	}
-	if _, err := (Options{Strategy: "nope"}).Normalized(8); err == nil {
+	if _, err := (Options{Strategy: "nope"}).Normalized(); err == nil {
 		t.Error("normalize accepted unknown strategy")
 	}
 	// Legacy alias canonicalizes at the spool boundary: records never carry
 	// the "greedy" spelling again.
-	norm, err = Options{Strategy: "greedy"}.Normalized(8)
+	norm, err = Options{Strategy: "greedy"}.Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +449,7 @@ func TestOptionsNormalizeRoundTrip(t *testing.T) {
 		{MISRSize: 16, Q: 4, Strategy: "paper-retry", MaxRounds: 5, Workers: 2},
 		{Q: 1, Strategy: "paper-random"},
 	} {
-		norm, err := o.Normalized(8)
+		norm, err := o.Normalized()
 		if err != nil {
 			t.Fatalf("Normalized(%+v): %v", o, err)
 		}
@@ -458,12 +457,7 @@ func TestOptionsNormalizeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("xhybrid().Normalized() of %+v: %v", o, err)
 		}
-		got := norm.xhybrid()
-		// Compare the comparable wire fields (the func-valued checkpoint
-		// hooks are zero on both sides of the spool boundary).
-		if got.MISRSize != viaFacade.MISRSize || got.Q != viaFacade.Q ||
-			got.Strategy != viaFacade.Strategy || got.Seed != viaFacade.Seed ||
-			got.MaxRounds != viaFacade.MaxRounds || got.Workers != viaFacade.Workers {
+		if got := norm.xhybrid(); got != viaFacade {
 			t.Errorf("options %+v: jobs-normalized %+v != facade-normalized %+v", o, got, viaFacade)
 		}
 	}

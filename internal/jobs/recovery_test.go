@@ -1,11 +1,9 @@
 package jobs
 
-// Spool recovery under corruption: every test fabricates the on-disk
-// aftermath of a crash (a job spooled as "running" with damaged
-// checkpoint files) and asserts that a fresh manager still finishes the
-// job with a plan byte-identical to an uninterrupted run — falling back
-// from the current checkpoint to the previous one to a from-scratch
-// restart as the damage deepens.
+// Spool recovery: every test fabricates the on-disk aftermath of a crash
+// (a job spooled as non-terminal, some by an older version of this
+// package) and asserts that a fresh manager still finishes each job — a
+// valid one with a plan byte-identical to a direct run.
 
 import (
 	"bytes"
@@ -21,57 +19,11 @@ import (
 	"xhybrid/internal/obs"
 )
 
-// spoolCompletedJob runs a job to completion and then rewrites its spool
-// to look crash-interrupted: result removed, state forced back to
-// running. The checkpoint pair is left exactly as the run produced it.
-func spoolCompletedJob(t *testing.T, dir string) (id string, x *xhybrid.XLocations, wantJSON, wantText []byte) {
+// recoverAndCheck opens a manager over the spool and asserts the job is
+// recovered and finishes with the exact reference plan.
+func recoverAndCheck(t *testing.T, dir, id string, x *xhybrid.XLocations) {
 	t.Helper()
-	x = testInput(t)
-	_, wantJSON, wantText = referencePlan(t, x, testOptions())
-
-	m, err := Open(dir, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, err := m.Submit(context.Background(), x, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := waitTerminal(t, m, meta.ID); st.State != StateDone {
-		t.Fatalf("setup job = %s (error %q), want done", st.State, st.Error)
-	}
-	m.Stop()
-
-	// Both checkpoint slots must exist for the fallback tests to mean
-	// anything (checkpointEvery=1 on a multi-round run guarantees it).
-	for _, f := range []string{checkpointFile, checkpointPrevFile} {
-		if _, err := os.Stat(filepath.Join(dir, meta.ID, f)); err != nil {
-			t.Fatalf("setup did not leave %s: %v", f, err)
-		}
-	}
-
-	if err := os.Remove(filepath.Join(dir, meta.ID, resultFile)); err != nil {
-		t.Fatal(err)
-	}
-	store, err := NewStore(dir, nil, RetryPolicy{}, obs.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	onDisk, err := store.ReadMeta(context.Background(), meta.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	onDisk.State = StateRunning
-	if err := store.WriteMeta(context.Background(), onDisk); err != nil {
-		t.Fatal(err)
-	}
-	return meta.ID, x, wantJSON, wantText
-}
-
-// recoverAndCheck opens a manager over the damaged spool and asserts the
-// job finishes with the exact reference plan.
-func recoverAndCheck(t *testing.T, dir, id string, x *xhybrid.XLocations, wantJSON, wantText []byte) *obs.Recorder {
-	t.Helper()
+	_, wantJSON, wantText := referencePlan(t, x, testOptions())
 	rec := obs.New()
 	m, err := Open(dir, Config{Obs: rec})
 	if err != nil {
@@ -86,88 +38,50 @@ func recoverAndCheck(t *testing.T, dir, id string, x *xhybrid.XLocations, wantJS
 		t.Fatal(err)
 	}
 	if !bytes.Equal(planJSON(t, plan), wantJSON) {
-		t.Errorf("recovered plan JSON differs from uninterrupted run")
+		t.Errorf("recovered plan JSON differs from the direct run")
 	}
 	if !bytes.Equal(planText(t, plan, x), wantText) {
-		t.Errorf("recovered plan text differs from uninterrupted run")
+		t.Errorf("recovered plan text differs from the direct run")
 	}
 	if got := rec.Snapshot().CounterValue("jobs.recovered"); got != 1 {
 		t.Errorf("jobs.recovered = %d, want 1", got)
 	}
-	return rec
 }
 
-// TestRecoverIntactCheckpoint: the clean crash — both checkpoints whole.
-func TestRecoverIntactCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	id, x, wantJSON, wantText := spoolCompletedJob(t, dir)
-	recoverAndCheck(t, dir, id, x, wantJSON, wantText)
-}
-
-// TestRecoverTruncatedCheckpoint: the current checkpoint is torn in half
-// (a crash mid-write on a filesystem without atomic rename, or disk
-// corruption); recovery must detect it at decode time and resume from the
-// previous checkpoint.
-func TestRecoverTruncatedCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	id, x, wantJSON, wantText := spoolCompletedJob(t, dir)
-
-	cur := filepath.Join(dir, id, checkpointFile)
-	data, err := os.ReadFile(cur)
+// spoolRunningJob spools testInput under testOptions as a "running" job
+// and rewrites its job.json through edit: the record a process killed
+// mid-run leaves behind. It returns the input and the rewritten record.
+func spoolRunningJob(t *testing.T, dir, id string, edit func(record map[string]any)) (*xhybrid.XLocations, []byte) {
+	t.Helper()
+	x := testInput(t)
+	opts, err := testOptions().Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(cur, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	recoverAndCheck(t, dir, id, x, wantJSON, wantText)
-}
-
-// TestRecoverTamperedCheckpoint: the current checkpoint decodes fine but
-// its recorded state is wrong (bit rot that kept JSON valid). The engine
-// rejects it during replay verification and recovery falls back to the
-// previous checkpoint.
-func TestRecoverTamperedCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	id, x, wantJSON, wantText := spoolCompletedJob(t, dir)
-
-	cur := filepath.Join(dir, id, checkpointFile)
-	data, err := os.ReadFile(cur)
+	store, err := NewStore(dir, nil, RetryPolicy{}, obs.New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(data, &raw); err != nil {
+	if err := store.CreateJob(context.Background(), Meta{ID: id, State: StateRunning, Options: opts}, x); err != nil {
 		t.Fatal(err)
 	}
-	raw["stateDigest"] = json.RawMessage("12345")
-	tampered, err := json.Marshal(raw)
+	path := filepath.Join(dir, id, metaFile)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(cur, tampered, 0o644); err != nil {
+	var record map[string]any
+	if err := json.Unmarshal(data, &record); err != nil {
 		t.Fatal(err)
 	}
-
-	rec := recoverAndCheck(t, dir, id, x, wantJSON, wantText)
-	if got := rec.Snapshot().CounterValue("jobs.checkpoints.rejected"); got != 1 {
-		t.Errorf("jobs.checkpoints.rejected = %d, want 1 (tampered current checkpoint)", got)
+	edit(record)
+	if data, err = json.Marshal(record); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestRecoverAllCheckpointsCorrupt: both slots are garbage; recovery
-// restarts from scratch and — the engine being deterministic — still
-// lands on the byte-identical plan.
-func TestRecoverAllCheckpointsCorrupt(t *testing.T) {
-	dir := t.TempDir()
-	id, x, wantJSON, wantText := spoolCompletedJob(t, dir)
-
-	for _, f := range []string{checkpointFile, checkpointPrevFile} {
-		if err := os.WriteFile(filepath.Join(dir, id, f), []byte("not json{"), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	recoverAndCheck(t, dir, id, x, wantJSON, wantText)
+	return x, data
 }
 
 // TestListSkipsHalfCreatedJob: a job directory with no job.json (crash
@@ -203,7 +117,7 @@ func TestRecoverRemovedStrategy(t *testing.T) {
 	dir := t.TempDir()
 	x := testInput(t)
 	_, wantJSON, wantText := referencePlan(t, x, testOptions())
-	good, err := testOptions().Normalized(8)
+	good, err := testOptions().Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,57 +178,37 @@ func TestRecoverRemovedStrategy(t *testing.T) {
 // recovered and finish with the reference plan.
 func TestRecoverLegacyTenantField(t *testing.T) {
 	dir := t.TempDir()
-	x := testInput(t)
-	_, wantJSON, wantText := referencePlan(t, x, testOptions())
-	opts, err := testOptions().Normalized(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := NewStore(dir, nil, RetryPolicy{}, obs.New())
-	if err != nil {
-		t.Fatal(err)
-	}
 	const id = "legacy-tenant"
-	if err := store.CreateJob(context.Background(), Meta{ID: id, State: StateRunning, Options: opts}, x); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, id, metaFile)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var record map[string]any
-	if err := json.Unmarshal(data, &record); err != nil {
-		t.Fatal(err)
-	}
-	record["tenant"] = "acme"
-	if data, err = json.Marshal(record); err != nil {
-		t.Fatal(err)
-	}
+	x, data := spoolRunningJob(t, dir, id, func(record map[string]any) {
+		record["tenant"] = "acme"
+	})
 	if !bytes.Contains(data, []byte(`"tenant":"acme"`)) {
 		t.Fatalf("fixture lacks the legacy field: %s", data)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	recoverAndCheck(t, dir, id, x)
+}
 
-	rec := obs.New()
-	m, err := Open(dir, Config{Obs: rec})
-	if err != nil {
-		t.Fatal(err)
+// TestRecoverLegacySpool: job records once carried a checkpoint cadence
+// ("checkpointEvery") and a checkpointed round count ("rounds"), and a
+// job directory could hold checkpoint.json and checkpoint.prev.json. A
+// "running" job spooled that way must decode, ignore the leftover files
+// (garbage here) and re-run to the plan of a direct run.
+func TestRecoverLegacySpool(t *testing.T) {
+	dir := t.TempDir()
+	const id = "legacy-checkpoints"
+	x, data := spoolRunningJob(t, dir, id, func(record map[string]any) {
+		record["rounds"] = 5
+		record["options"].(map[string]any)["checkpointEvery"] = 1
+	})
+	for _, field := range []string{`"rounds":5`, `"checkpointEvery":1`} {
+		if !bytes.Contains(data, []byte(field)) {
+			t.Fatalf("fixture lacks the legacy field %s: %s", field, data)
+		}
 	}
-	defer m.Stop()
-	if got := rec.Snapshot().CounterValue("jobs.recovered"); got != 1 {
-		t.Fatalf("jobs.recovered = %d, want 1", got)
+	for _, f := range []string{"checkpoint.json", "checkpoint.prev.json"} {
+		if err := os.WriteFile(filepath.Join(dir, id, f), []byte("not json{"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if st := waitTerminal(t, m, id); st.State != StateDone {
-		t.Fatalf("recovered job = %s (error %q), want done", st.State, st.Error)
-	}
-	plan, err := m.Result(context.Background(), id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(planJSON(t, plan), wantJSON) || !bytes.Equal(planText(t, plan, x), wantText) {
-		t.Error("recovered job's plan differs from the direct run")
-	}
+	recoverAndCheck(t, dir, id, x)
 }

@@ -19,18 +19,12 @@ import (
 // write-to-temp + atomic rename, so a crash at any instant leaves either
 // the old file or the new one — never a half-written current file. The
 // only torn artifacts a crash can leave are *.tmp files, which readers
-// never open.
+// never open. Any other file in a job directory is ignored.
 const (
-	metaFile       = "job.json"
-	inputFile      = "input.json"
-	checkpointFile = "checkpoint.json"
-	// checkpointPrevFile keeps the previous checkpoint: WriteCheckpoint
-	// rotates current→prev before renaming the new file in, so even a
-	// crash between those two renames (or a corrupted current file) leaves
-	// one good checkpoint to resume from.
-	checkpointPrevFile = "checkpoint.prev.json"
-	resultFile         = "result.json"
-	tmpSuffix          = ".tmp"
+	metaFile   = "job.json"
+	inputFile  = "input.json"
+	resultFile = "result.json"
+	tmpSuffix  = ".tmp"
 )
 
 // Meta is the durable record of one job (spooled as job.json).
@@ -50,19 +44,15 @@ type Meta struct {
 
 	// Error holds the failure cause for StateFailed.
 	Error string `json:"error,omitempty"`
-	// Rounds is the attempt-trace length at the last checkpoint — coarse
-	// durable progress (live progress comes from the manager's per-job
-	// recorder).
-	Rounds int `json:"rounds,omitempty"`
 	// Resumes counts how many times the job was restarted from the spool.
 	Resumes int `json:"resumes,omitempty"`
 }
 
 // Store is the crash-durable job spool: one directory per job holding the
-// input X-map, the normalized options and state (job.json), the rotating
-// checkpoint pair and, eventually, the result. Every write goes through
-// the retry policy — transient I/O errors back off and try again — and
-// every visible file is complete, courtesy of atomic renames.
+// input, the normalized options and state (job.json) and, eventually, the
+// result. Every write goes through the retry policy — transient I/O errors
+// back off and try again — and every visible file is complete, courtesy of
+// atomic renames.
 type Store struct {
 	dir     string
 	fs      FS
@@ -213,53 +203,6 @@ func (s *Store) ReadFlowResult(ctx context.Context, id string) (*xhybrid.FlowRep
 		return nil, err
 	}
 	return rep, nil
-}
-
-// WriteCheckpoint rotates the current checkpoint to the .prev slot and
-// atomically installs cp as the new current one. The rotation order means
-// a crash at any point leaves at least one complete checkpoint on disk.
-func (s *Store) WriteCheckpoint(ctx context.Context, id string, cp *xhybrid.Checkpoint) error {
-	data, err := json.Marshal(cp)
-	if err != nil {
-		return err
-	}
-	cur, prev := s.path(id, checkpointFile), s.path(id, checkpointPrevFile)
-	if err := s.retry(ctx, func() error {
-		err := s.fs.Rename(cur, prev)
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil // first checkpoint: nothing to rotate
-		}
-		return err
-	}); err != nil {
-		return err
-	}
-	return s.writeAtomic(ctx, cur, data)
-}
-
-// ReadCheckpoints returns the resumable checkpoints newest-first: the
-// current one, then the rotated previous one. Unreadable or undecodable
-// files (truncated by a torn write, corrupted on disk) are skipped, not
-// fatal — recovery falls back down this list and, when it is empty,
-// restarts from scratch.
-func (s *Store) ReadCheckpoints(ctx context.Context, id string) []*xhybrid.Checkpoint {
-	var out []*xhybrid.Checkpoint
-	for _, file := range []string{checkpointFile, checkpointPrevFile} {
-		var data []byte
-		err := s.retry(ctx, func() error {
-			var rerr error
-			data, rerr = s.fs.ReadFile(s.path(id, file))
-			return rerr
-		})
-		if err != nil {
-			continue
-		}
-		cp := new(xhybrid.Checkpoint)
-		if err := json.Unmarshal(data, cp); err != nil {
-			continue // torn or corrupted: fall back to the next candidate
-		}
-		out = append(out, cp)
-	}
-	return out
 }
 
 // WriteResult persists the finished plan.

@@ -9,7 +9,7 @@ package server
 // Event vocabulary:
 //
 //	event: status    the job's state changed (submitted -> running -> ...)
-//	event: progress  round/checkpoint counters moved while running
+//	event: progress  the stage or round counter moved while running
 //	event: done      terminal snapshot; the stream closes after this
 //
 // Every data payload is one compact-JSON job envelope — the same shape as
@@ -32,20 +32,16 @@ import (
 // pipeline stage transition (generate → atpg → simulate → …) its own
 // progress event even when no partitioning round has run yet.
 type progressKey struct {
-	state       jobs.State
-	stage       string
-	rounds      int64
-	liveRounds  int64
-	checkpoints int64
+	state      jobs.State
+	stage      string
+	liveRounds int64
 }
 
 func keyOf(st jobs.Status) progressKey {
 	return progressKey{
-		state:       st.State,
-		stage:       st.Progress.Stage,
-		rounds:      st.Progress.Rounds,
-		liveRounds:  st.Progress.LiveRounds,
-		checkpoints: st.Progress.Checkpoints,
+		state:      st.State,
+		stage:      st.Progress.Stage,
+		liveRounds: st.Progress.LiveRounds,
 	}
 }
 

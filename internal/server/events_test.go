@@ -56,7 +56,7 @@ func TestJobEventsStream(t *testing.T) {
 	t.Cleanup(mgr.Stop)
 	s := newTestServer(t, Config{Jobs: mgr, ProgressInterval: 5 * time.Millisecond})
 
-	w := do(t, s, http.MethodPost, "/v1/jobs?m=10&q=2&checkpoint=1", fixtureBody(t))
+	w := do(t, s, http.MethodPost, "/v1/jobs?m=10&q=2", fixtureBody(t))
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("submit = %d: %s", w.Code, w.Body.String())
 	}

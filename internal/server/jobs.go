@@ -2,10 +2,10 @@ package server
 
 // The async half of the API: /v1/jobs. Where /v1/partition computes under
 // the request's lifetime, a job outlives its connection — the X-map and
-// options are spooled to disk, the compute checkpoints as it goes, and a
-// daemon restart (graceful or kill -9) resumes the job from its last
-// checkpoint to the byte-identical plan. The handlers here are a thin
-// HTTP skin over internal/jobs.
+// options are spooled to disk, and a daemon restart (graceful or kill -9)
+// re-runs every unfinished job from its spooled input to the
+// byte-identical plan. The handlers here are a thin HTTP skin over
+// internal/jobs.
 //
 //	POST   /v1/jobs             submit (body + query options)  -> 202 + record
 //	POST   /v1/flow             submit an end-to-end flow job (JSON FlowSpec body)
@@ -16,8 +16,8 @@ package server
 //	DELETE /v1/jobs/{id}        cancel (idempotent)
 //
 // A flow job shares the job lifecycle end to end — same spool, same
-// checkpoint/resume drill, same status/result/events/cancel endpoints —
-// only submission and the result payload differ by kind.
+// restart recovery, same status/result/events/cancel endpoints — only
+// submission and the result payload differ by kind.
 
 import (
 	"encoding/json"
@@ -89,14 +89,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.errorJSON(w, http.StatusBadRequest, err)
 		return
 	}
-	every := 0
-	if v := q.Get("checkpoint"); v != "" {
-		if every, err = strconv.Atoi(v); err != nil || every < 0 {
-			s.badReq.Inc()
-			s.errorJSON(w, http.StatusBadRequest, errors.New("server: bad checkpoint="+v))
-			return
-		}
-	}
 	x, err := readXMap(r, s.cfg.MaxBodyBytes)
 	if err != nil {
 		s.badReq.Inc()
@@ -104,13 +96,12 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := jobs.Options{
-		MISRSize:        ro.opt.MISRSize,
-		Q:               ro.opt.Q,
-		Strategy:        ro.opt.Strategy,
-		Seed:            ro.opt.Seed,
-		MaxRounds:       ro.opt.MaxRounds,
-		Workers:         s.clampWorkers(ro.workers),
-		CheckpointEvery: every,
+		MISRSize:  ro.opt.MISRSize,
+		Q:         ro.opt.Q,
+		Strategy:  ro.opt.Strategy,
+		Seed:      ro.opt.Seed,
+		MaxRounds: ro.opt.MaxRounds,
+		Workers:   s.clampWorkers(ro.workers),
 	}
 	meta, err := s.cfg.Jobs.Submit(r.Context(), x, opts)
 	if err != nil {

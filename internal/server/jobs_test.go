@@ -88,7 +88,7 @@ func TestJobsAPILifecycle(t *testing.T) {
 		t.Fatalf("sync text status %d", syncText.Code)
 	}
 
-	w := do(t, s, http.MethodPost, "/v1/jobs?m=10&q=2&checkpoint=1", body)
+	w := do(t, s, http.MethodPost, "/v1/jobs?m=10&q=2", body)
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("submit status %d: %s", w.Code, w.Body.String())
 	}
@@ -159,9 +159,6 @@ func TestJobsAPIErrors(t *testing.T) {
 	}
 	if w := do(t, s, http.MethodPost, "/v1/jobs?strategy=divine", body); w.Code != http.StatusBadRequest {
 		t.Errorf("bad strategy = %d, want 400", w.Code)
-	}
-	if w := do(t, s, http.MethodPost, "/v1/jobs?checkpoint=-1", body); w.Code != http.StatusBadRequest {
-		t.Errorf("bad checkpoint = %d, want 400", w.Code)
 	}
 	if w := do(t, s, http.MethodPost, "/v1/jobs", []byte("not json")); w.Code != http.StatusBadRequest {
 		t.Errorf("bad body = %d, want 400", w.Code)
@@ -274,7 +271,7 @@ func TestJobsAPIRestartResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	sA := newTestServer(t, Config{Jobs: mgrA})
-	w := do(t, sA, http.MethodPost, "/v1/jobs?m=10&q=2&checkpoint=1", fixtureBody(t))
+	w := do(t, sA, http.MethodPost, "/v1/jobs?m=10&q=2", fixtureBody(t))
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("submit status %d", w.Code)
 	}

@@ -53,8 +53,8 @@ type Config struct {
 	// (default 250ms).
 	ProgressInterval time.Duration
 	// Jobs enables the async /v1/jobs API: submissions are spooled to disk
-	// by this manager, survive restarts, and resume from their last
-	// checkpoint. nil leaves the endpoints unregistered (synchronous
+	// by this manager, survive restarts, and re-run from their spooled
+	// input. nil leaves the endpoints unregistered (synchronous
 	// /v1/partition is unaffected either way).
 	Jobs *jobs.Manager
 	// Obs receives every counter and span of the server and the pipeline

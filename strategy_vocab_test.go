@@ -48,7 +48,7 @@ var surfaces = []struct {
 		return spec.Strategy, nil
 	}},
 	{"jobs", func(s string) (string, error) {
-		norm, err := jobs.Options{Strategy: s}.Normalized(8)
+		norm, err := jobs.Options{Strategy: s}.Normalized()
 		if err != nil {
 			return "", err
 		}

@@ -25,21 +25,6 @@ type Stats = obs.Recorder
 // NewStats returns an empty enabled recorder.
 func NewStats() *Stats { return obs.New() }
 
-// Checkpoint is a crash-durable snapshot of a partitioning run's committed
-// progress at a round boundary: the attempt trace, the running cost totals
-// and a content digest of the live partitions. Emitted via
-// Options.CheckpointSink and replayed via Options.Resume, it makes a
-// resumed run byte-identical to an uninterrupted one (the engine replays
-// the trace through the same incremental scorer and verifies every
-// recorded cost on the way). The JSON encoding is the spool format of
-// internal/jobs.
-type Checkpoint = core.Checkpoint
-
-// ErrCheckpointMismatch reports an Options.Resume checkpoint that does not
-// replay onto this run (different input, options, or a corrupted trace);
-// match with errors.Is and fall back to an older checkpoint or a fresh run.
-var ErrCheckpointMismatch = core.ErrCheckpointMismatch
-
 // ErrUnknownStrategy reports an Options.Strategy no registered strategy or
 // alias matches; match with errors.Is. The error text enumerates the valid
 // names.
@@ -171,19 +156,6 @@ type Options struct {
 	// Stats, when non-nil, receives the pipeline's counters and per-stage
 	// spans (see Stats). The hot paths pay nothing when it is nil.
 	Stats *Stats
-	// CheckpointEvery emits a Checkpoint to CheckpointSink after every
-	// CheckpointEvery accepted partitioning rounds (0 disables). Checkpoints
-	// never change the plan; they only record progress.
-	CheckpointEvery int
-	// CheckpointSink receives the run's periodic checkpoints, synchronously
-	// at commit boundaries; an error aborts the run.
-	CheckpointSink func(*Checkpoint) error
-	// Resume, when non-nil, replays the checkpoint before the first fresh
-	// round and continues where it left off. The resumed plan is
-	// byte-identical to an uninterrupted run with the same input and
-	// options; a checkpoint that fails verification returns
-	// ErrCheckpointMismatch.
-	Resume *Checkpoint
 }
 
 // Normalized returns the options with the engine defaults filled in
@@ -223,16 +195,13 @@ func (o Options) params(geom scan.Geometry) (core.Params, error) {
 		return core.Params{}, fmt.Errorf("xhybrid: %w", err)
 	}
 	return core.Params{
-		Geom:            geom,
-		Cancel:          xcancel.Config{MISR: cfg, Q: o.Q},
-		Strategy:        strat,
-		Seed:            o.Seed,
-		MaxRounds:       o.MaxRounds,
-		Workers:         o.Workers,
-		Obs:             o.Stats,
-		CheckpointEvery: o.CheckpointEvery,
-		CheckpointSink:  o.CheckpointSink,
-		Resume:          o.Resume,
+		Geom:      geom,
+		Cancel:    xcancel.Config{MISR: cfg, Q: o.Q},
+		Strategy:  strat,
+		Seed:      o.Seed,
+		MaxRounds: o.MaxRounds,
+		Workers:   o.Workers,
+		Obs:       o.Stats,
 	}, nil
 }
 
