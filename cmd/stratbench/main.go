@@ -1,7 +1,7 @@
 // Command stratbench is the strategy tournament: it races every registered
-// partitioning strategy (plus the clustered variant) across a matrix of
-// workloads — synthetic CKT profiles and real X-maps built by the circuit
-// pipeline — and reports the control-bit / wall-clock frontier.
+// partitioning strategy across a matrix of workloads — synthetic CKT
+// profiles and real X-maps built by the circuit pipeline — and reports the
+// control-bit / wall-clock frontier.
 //
 // Every lane's plan is verified before it may score: the plan is replayed
 // through the real hardware models (mask stage → spatial compactor →
@@ -50,12 +50,6 @@ type input struct {
 	geom      scan.Geometry
 	responses *scan.ResponseSet
 	mSize, q  int
-}
-
-// lane is one competitor: a registered strategy, or the clustered variant.
-type lane struct {
-	name string
-	run  func(ctx context.Context, m *xmap.XMap, p core.Params) (*core.Result, error)
 }
 
 // result is one (workload, lane) cell of the tournament, serialized into
@@ -117,7 +111,7 @@ func main() {
 		"comma-separated workload names: ckt-{a,b,c}[K] (profile scaled by K) or "+
 			strings.Join(flowSpecNames(), ", "))
 	strategies := flag.String("strategies", "all",
-		"comma-separated lanes: registry names, clustered, or all")
+		"comma-separated registry names, or all")
 	workers := flag.Int("workers", 0, "worker goroutines per run (0 = all CPUs)")
 	out := flag.String("out", "-", "output path (- = stdout)")
 	flag.Parse()
@@ -127,8 +121,8 @@ func main() {
 		die(err)
 	}
 	file := benchFile{
-		Description: "Strategy tournament: every registered partitioning strategy plus the " +
-			"clustered variant raced per workload; plans replay-verified before scoring; " +
+		Description: "Strategy tournament: every registered partitioning strategy " +
+			"raced per workload; plans replay-verified before scoring; " +
 			"frontier = verified Pareto set over (totalBits, wallMs). " +
 			"Reproduce: go run ./cmd/stratbench",
 	}
@@ -170,37 +164,19 @@ func flowSpecNames() []string {
 }
 
 // parseLanes resolves the -strategies flag: every lane name must be a
-// registry name (aliases accepted), or "clustered".
-func parseLanes(arg string) ([]lane, error) {
-	var lanes []lane
-	add := func(name string) error {
-		if name == "clustered" {
-			lanes = append(lanes, lane{name: "clustered", run: core.RunClusteredCtx})
-			return nil
-		}
-		strat, err := core.LookupStrategy(name)
-		if err != nil {
-			return fmt.Errorf("stratbench: %w (or \"clustered\")", err)
-		}
-		lanes = append(lanes, lane{name: strat.Name(),
-			run: func(ctx context.Context, m *xmap.XMap, p core.Params) (*core.Result, error) {
-				p.Strategy = strat
-				return core.RunCtx(ctx, m, p)
-			}})
-		return nil
-	}
+// registry name (aliases accepted), or the whole flag "all".
+func parseLanes(arg string) ([]core.Strategy, error) {
+	names := strings.Split(arg, ",")
 	if arg == "all" {
-		for _, name := range core.StrategyNames() {
-			if err := add(name); err != nil {
-				return nil, err
-			}
-		}
-		return lanes, add("clustered")
+		names = core.StrategyNames()
 	}
-	for _, name := range strings.Split(arg, ",") {
-		if err := add(strings.TrimSpace(name)); err != nil {
-			return nil, err
+	lanes := make([]core.Strategy, 0, len(names))
+	for _, name := range names {
+		strat, err := core.LookupStrategy(strings.TrimSpace(name))
+		if err != nil {
+			return nil, fmt.Errorf("stratbench: %w", err)
 		}
+		lanes = append(lanes, strat)
 	}
 	return lanes, nil
 }
@@ -237,22 +213,23 @@ func prepare(name string) (*input, error) {
 
 // race runs every lane on one workload, verifies each plan, and marks the
 // verified Pareto frontier.
-func race(in *input, lanes []lane, workers int) workloadReport {
+func race(in *input, lanes []core.Strategy, workers int) workloadReport {
 	rep := workloadReport{
 		Workload: in.name,
 		Cells:    in.m.Cells(), Chains: in.geom.Chains, Patterns: in.m.Patterns(),
 		TotalX: in.m.TotalX(), MISRSize: in.mSize, Q: in.q,
 	}
-	for _, ln := range lanes {
-		r := result{Strategy: ln.name}
+	for _, strat := range lanes {
+		r := result{Strategy: strat.Name()}
 		p := core.Params{
-			Geom:    in.geom,
-			Cancel:  xcancel.Config{MISR: misr.MustStandard(in.mSize), Q: in.q},
-			Seed:    1,
-			Workers: workers,
+			Geom:     in.geom,
+			Cancel:   xcancel.Config{MISR: misr.MustStandard(in.mSize), Q: in.q},
+			Strategy: strat,
+			Seed:     1,
+			Workers:  workers,
 		}
 		t0 := time.Now()
-		res, err := ln.run(context.Background(), in.m, p)
+		res, err := core.Run(in.m, p)
 		r.WallMs = float64(time.Since(t0)) / float64(time.Millisecond)
 		if err != nil {
 			r.Error = err.Error()
@@ -270,7 +247,7 @@ func race(in *input, lanes []lane, workers int) workloadReport {
 		r.Verified, r.ExactCanceler, r.Error = verify(in, res)
 		rep.Results = append(rep.Results, r)
 		fmt.Fprintf(os.Stderr, "stratbench: %s/%s: %d bits in %.0f ms, verified=%t\n",
-			in.name, ln.name, r.TotalBits, r.WallMs, r.Verified)
+			in.name, r.Strategy, r.TotalBits, r.WallMs, r.Verified)
 	}
 	markFrontier(rep.Results)
 	return rep
@@ -353,13 +330,6 @@ func markFrontier(results []result) {
 		}
 		results[i].Frontier = !dominated
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func die(err error) {

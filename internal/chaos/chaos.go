@@ -33,7 +33,6 @@ const (
 	OpRename  Op = "rename"
 	OpMkdir   Op = "mkdir"
 	OpReadDir Op = "readdir"
-	OpRemove  Op = "remove"
 )
 
 // Fault is one injection rule. Zero fields match everything, so the empty
@@ -208,15 +207,4 @@ func (c *FS) ReadDir(name string) ([]fs.DirEntry, error) {
 		return nil, fail
 	}
 	return c.inner.ReadDir(name)
-}
-
-func (c *FS) Remove(name string) error {
-	fail, delay := c.decide(OpRemove, name)
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	if fail != nil {
-		return fail
-	}
-	return c.inner.Remove(name)
 }

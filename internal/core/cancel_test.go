@@ -25,7 +25,7 @@ type hookedGreedy struct {
 
 func (s *hookedGreedy) Name() string { return "hooked-greedy" }
 
-func (s *hookedGreedy) Select(sc *Selection) []Split {
+func (s *hookedGreedy) Select(sc *Selection) (Split, bool) {
 	s.selects++
 	if s.selects == 2 {
 		s.hook()
@@ -131,9 +131,6 @@ func TestRunCtxPreCanceled(t *testing.T) {
 	before := runtime.NumGoroutine()
 	if _, err := RunCtx(ctx, m, fig4Params(2)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunCtx err = %v, want context.Canceled", err)
-	}
-	if _, err := RunClusteredCtx(ctx, m, fig4Params(2)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunClusteredCtx err = %v, want context.Canceled", err)
 	}
 	if _, err := EvaluateCtx(ctx, m, fig4Params(2)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("EvaluateCtx err = %v, want context.Canceled", err)

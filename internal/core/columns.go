@@ -112,8 +112,7 @@ func (t *colTable) narrow(src []colCount, part gf2.Vec) colIndex {
 }
 
 // allColumns indexes every column with its global X count: the index the
-// root partition narrows to (itself) and the one a state with no indexed
-// parent is scanned against.
+// root partition narrows to (itself).
 func (t *colTable) allColumns(patterns int) colIndex {
 	src := make([]colCount, len(t.mult))
 	for c := range src {
@@ -164,8 +163,8 @@ func subset(s, col []uint64) bool {
 	return true
 }
 
-// scanPair fills the stats of whichever of a and b are still unpriced (b
-// may be nil), both subsets of the partition whose byCount list is given.
+// scanPair fills the stats of whichever of a and b are still unpriced,
+// both subsets of the partition whose byCount list is given.
 // A side S is fully X on a cell exactly when S ⊆ the cell's pattern set,
 // which needs the cell's in-partition count to reach |S|. byCount runs by
 // descending count, so the walk stops at the first count below the smaller
@@ -205,9 +204,7 @@ func (e *evaluator) scanPair(byCount []colCount, a, b *partState) {
 		e.obsScanCols.Add(int64(tested))
 	}
 	a.commitStats(cellsA)
-	if b != nil {
-		b.commitStats(cellsB)
-	}
+	b.commitStats(cellsB)
 }
 
 // noTest is the size testSide reports for a side that needs no subset test;
@@ -217,7 +214,7 @@ const noTest = int(^uint(0) >> 1)
 // testSide returns a side's words and size when the scan must test it
 // (unpriced and non-empty), or nil and noTest.
 func testSide(st *partState) ([]uint64, int) {
-	if st == nil || st.statsReady.Load() || st.size == 0 {
+	if st.statsReady.Load() || st.size == 0 {
 		return nil, noTest
 	}
 	return st.part.Words(), st.size

@@ -33,8 +33,8 @@ import (
 	"xhybrid/internal/xmask"
 )
 
-// Sentinel errors returned (wrapped) by Run, RunClustered and Evaluate;
-// match with errors.Is.
+// Sentinel errors returned (wrapped) by Run and Evaluate; match with
+// errors.Is.
 var (
 	// ErrGeometryMismatch reports an X-map whose cell count differs from
 	// Params.Geom.
@@ -296,7 +296,7 @@ func (e *evaluator) canceled() bool {
 	}
 }
 
-// err maps cancellation onto the error Run and RunClustered return: nil
+// err maps cancellation onto the error Run returns: nil
 // while the context is live, a wrapped context error (matching
 // errors.Is(err, context.Canceled/DeadlineExceeded)) once it is done.
 func (e *evaluator) err() error {

@@ -86,7 +86,7 @@ func replayRounds(t *testing.T, m *xmap.XMap, params Params, res *Result) {
 // spread of fixtures, that the delta-priced costs the engine records are
 // the exact full costs a from-scratch evaluation computes.
 func TestIncrementalCostsMatchNaiveReplay(t *testing.T) {
-	strategies := []Strategy{StrategyPaper, StrategyPaperRandom, StrategyGreedyCost, StrategyPaperRetry}
+	strategies := []Strategy{StrategyPaper, StrategyPaperRandom, StrategyGreedyCost}
 	type fixture struct {
 		name   string
 		gen    func() (*xmap.XMap, Params)

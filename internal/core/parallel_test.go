@@ -16,7 +16,7 @@ import (
 // byte-identical results (rounds, costs, partitions, masks, accounting) for
 // workers=1 and workers=8, across every strategy and several seeds.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
-	strategies := []Strategy{StrategyPaper, StrategyPaperRandom, StrategyGreedyCost, StrategyPaperRetry}
+	strategies := []Strategy{StrategyPaper, StrategyPaperRandom, StrategyGreedyCost}
 	for seed := int64(1); seed <= 4; seed++ {
 		m, geom := randMap(seed)
 		for _, s := range strategies {
@@ -70,27 +70,6 @@ func TestRunDeterministicOnWorkload(t *testing.T) {
 	}
 }
 
-// RunClustered shares the evaluator, so it gets the same guarantee.
-func TestRunClusteredDeterministicAcrossWorkers(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		m, geom := randMap(seed)
-		p := Params{Geom: geom, Cancel: xcancel.Config{MISR: misr.MustStandard(12), Q: 3}}
-		p.Workers = 1
-		serial, err := RunClustered(m, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Workers = 8
-		parallel, err := RunClustered(m, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Fatalf("seed %d: clustered workers=8 differs from workers=1", seed)
-		}
-	}
-}
-
 func TestSentinelErrors(t *testing.T) {
 	m := fig4()
 	p := fig4Params(2)
@@ -98,18 +77,12 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := Run(m, p); !errors.Is(err, ErrGeometryMismatch) {
 		t.Fatalf("Run geometry error = %v, want ErrGeometryMismatch", err)
 	}
-	if _, err := RunClustered(m, p); !errors.Is(err, ErrGeometryMismatch) {
-		t.Fatalf("RunClustered geometry error = %v, want ErrGeometryMismatch", err)
-	}
 	if _, err := Evaluate(m, p); !errors.Is(err, ErrGeometryMismatch) {
 		t.Fatalf("Evaluate geometry error = %v, want ErrGeometryMismatch", err)
 	}
 	p = fig4Params(2)
 	if _, err := Run(xmap.New(0, 15), p); !errors.Is(err, ErrEmptyPatterns) {
 		t.Fatalf("Run empty error = %v, want ErrEmptyPatterns", err)
-	}
-	if _, err := RunClustered(xmap.New(0, 15), p); !errors.Is(err, ErrEmptyPatterns) {
-		t.Fatalf("RunClustered empty error = %v, want ErrEmptyPatterns", err)
 	}
 	// A healthy run reports neither sentinel.
 	if _, err := Run(m, p); err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"xhybrid/internal/correlation"
 	"xhybrid/internal/gf2"
@@ -58,7 +57,6 @@ func RunCtx(ctx context.Context, m *xmap.XMap, params Params) (*Result, error) {
 	all := gf2.NewVec(m.Patterns())
 	all.SetAll()
 	root := e.stateFor(all)
-	root.ensureIndex(e, nil)
 	root.ensureStats(e)
 	live := []*partState{root}
 	masked := root.maskedX
@@ -67,78 +65,70 @@ func RunCtx(ctx context.Context, m *xmap.XMap, params Params) (*Result, error) {
 	e.obsFull.Inc()
 
 	var rounds []Round
-	round := 0
 	strat := params.strategy()
 	sel := &Selection{e: e, rng: rng}
-outer:
 	for {
 		if err := e.err(); err != nil {
 			return nil, err
 		}
 		sel.set(live, masked, maskBits, cost)
-		attempts := strat.Select(sel)
-		if len(attempts) == 0 {
+		cand, ok := strat.Select(sel)
+		if !ok {
 			break
 		}
-		committed := false
-		for _, cand := range attempts {
-			if err := e.err(); err != nil {
-				return nil, err
-			}
-			// The built-in strategies only emit valid splits; this guards
-			// the engine against externally registered ones.
-			if cand.Partition < 0 || cand.Partition >= len(live) {
-				return nil, fmt.Errorf("core: strategy %s selected partition %d of %d", strat.Name(), cand.Partition, len(live))
-			}
-			if _, ok := e.m.CellPatterns(cand.Cell); !ok {
-				return nil, fmt.Errorf("core: strategy %s selected cell %d, which captures no X", strat.Name(), cand.Cell)
-			}
-			round++
-			if params.MaxRounds > 0 && round > params.MaxRounds {
-				break outer
-			}
-			e.obsRounds.Inc()
-			e.obsScored.Inc()
-			// Delta pricing: the split replaces the parent's contribution
-			// with its two sides'. The greedy selector already interned the
-			// winning candidate's sides, so this re-pricing is pure cache
-			// hits there.
-			parent := live[cand.Partition]
-			xs, rs := e.splitStates(parent, cand.Cell)
-			e.obsDelta.Inc()
-			newMasked := masked - parent.maskedX + xs.maskedX + rs.maskedX
-			newMaskBits := maskBits - e.contrib(parent) + e.contrib(xs) + e.contrib(rs)
-			newCost := newMaskBits + e.cancelBits(newMasked)
-			r := Round{
-				Round:          round,
-				SplitPartition: cand.Partition,
-				SplitCell:      cand.Cell,
-				GroupSize:      cand.GroupSize,
-				GroupCount:     cand.GroupCount,
-				CostBefore:     cost,
-				CostAfter:      newCost,
-				Accepted:       newCost < cost,
-			}
-			rounds = append(rounds, r)
-			if r.Accepted {
-				e.obsAccepted.Inc()
-				// Commit: the X side replaces the parent in place and the
-				// complement lands right after it. Build the sides' column
-				// indexes now (serial point) by narrowing the parent's.
-				xs.ensureIndex(e, parent)
-				rs.ensureIndex(e, parent)
-				live = append(live, nil)
-				copy(live[cand.Partition+2:], live[cand.Partition+1:])
-				live[cand.Partition] = xs
-				live[cand.Partition+1] = rs
-				masked, maskBits, cost = newMasked, newMaskBits, newCost
-				committed = true
-				break
-			}
+		// A selector cut short by the context may return a split it never
+		// finished scoring; stop before pricing it.
+		if err := e.err(); err != nil {
+			return nil, err
 		}
-		if !committed {
+		// The built-in strategies only emit valid splits; this guards the
+		// engine against a Strategy implemented elsewhere (the tests plug
+		// in their own).
+		if cand.Partition < 0 || cand.Partition >= len(live) {
+			return nil, fmt.Errorf("core: strategy %s selected partition %d of %d", strat.Name(), cand.Partition, len(live))
+		}
+		if _, ok := e.m.CellPatterns(cand.Cell); !ok {
+			return nil, fmt.Errorf("core: strategy %s selected cell %d, which captures no X", strat.Name(), cand.Cell)
+		}
+		if params.MaxRounds > 0 && len(rounds) >= params.MaxRounds {
 			break
 		}
+		e.obsRounds.Inc()
+		e.obsScored.Inc()
+		// Delta pricing: the split replaces the parent's contribution with
+		// its two sides'. The greedy selector already interned the winning
+		// candidate's sides, so this re-pricing is pure cache hits there.
+		parent := live[cand.Partition]
+		xs, rs := e.splitStates(parent, cand.Cell)
+		e.obsDelta.Inc()
+		newMasked := masked - parent.maskedX + xs.maskedX + rs.maskedX
+		newMaskBits := maskBits - e.contrib(parent) + e.contrib(xs) + e.contrib(rs)
+		newCost := newMaskBits + e.cancelBits(newMasked)
+		r := Round{
+			Round:          len(rounds) + 1,
+			SplitPartition: cand.Partition,
+			SplitCell:      cand.Cell,
+			GroupSize:      cand.GroupSize,
+			GroupCount:     cand.GroupCount,
+			CostBefore:     cost,
+			CostAfter:      newCost,
+			Accepted:       newCost < cost,
+		}
+		rounds = append(rounds, r)
+		if !r.Accepted {
+			break
+		}
+		e.obsAccepted.Inc()
+		// Commit: the X side replaces the parent in place and the
+		// complement lands right after it. Build the sides' column indexes
+		// now (serial point) by narrowing the parent's.
+		xs.ensureIndex(e, parent)
+		rs.ensureIndex(e, parent)
+		live = append(live, nil)
+		copy(live[cand.Partition+2:], live[cand.Partition+1:])
+		live[cand.Partition] = xs
+		live[cand.Partition+1] = rs
+		masked, maskBits, cost = newMasked, newMaskBits, newCost
 	}
 	// The selectors short-circuit once the context dies; a break out of the
 	// loop may therefore reflect an aborted scan rather than convergence.
@@ -166,43 +156,6 @@ func (e *evaluator) groupsPerPartition(live []*partState) [][]correlation.Group 
 	return groups
 }
 
-// selectPaperList returns up to budget candidates in Algorithm 1 preference
-// order (largest group first, ties by count, partition, cell) — the retry
-// strategy walks this list past cost rejections.
-func (e *evaluator) selectPaperList(live []*partState, budget int) []Split {
-	var all []Split
-	for i, groups := range e.groupsPerPartition(live) {
-		size := live[i].size
-		for _, g := range groups {
-			if g.Count >= size || g.Size() < 2 {
-				continue
-			}
-			all = append(all, Split{
-				Partition:  i,
-				Cell:       g.Cells[0],
-				GroupSize:  g.Size(),
-				GroupCount: g.Count,
-			})
-		}
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].GroupSize != all[b].GroupSize {
-			return all[a].GroupSize > all[b].GroupSize
-		}
-		if all[a].GroupCount != all[b].GroupCount {
-			return all[a].GroupCount > all[b].GroupCount
-		}
-		if all[a].Partition != all[b].Partition {
-			return all[a].Partition < all[b].Partition
-		}
-		return all[a].Cell < all[b].Cell
-	})
-	if len(all) > budget {
-		all = all[:budget]
-	}
-	return all
-}
-
 // selectPaper implements Algorithm 1's choice: the largest in-partition
 // equal-count group with at least two member cells, splitting on its first
 // (or a random) member. Ties prefer higher X counts, then earlier
@@ -210,8 +163,8 @@ func (e *evaluator) selectPaperList(live []*partState, budget int) []Split {
 // cross-partition reduce below walks the partitions in index order, so the
 // choice (and the single rng draw for the random variant) is identical to a
 // serial scan.
-func (e *evaluator) selectPaper(live []*partState, random bool, rng *rand.Rand) *Split {
-	var best *Split
+func (e *evaluator) selectPaper(live []*partState, random bool, rng *rand.Rand) (Split, bool) {
+	var best Split
 	var bestGroup correlation.Group
 	for i, groups := range e.groupsPerPartition(live) {
 		size := live[i].size
@@ -224,7 +177,7 @@ func (e *evaluator) selectPaper(live []*partState, random bool, rng *rand.Rand) 
 			}
 			better := false
 			switch {
-			case best == nil:
+			case best.GroupSize == 0:
 				better = true
 			case g.Size() != best.GroupSize:
 				better = g.Size() > best.GroupSize
@@ -232,20 +185,20 @@ func (e *evaluator) selectPaper(live []*partState, random bool, rng *rand.Rand) 
 				better = g.Count > best.GroupCount
 			}
 			if better {
-				best = &Split{Partition: i, GroupSize: g.Size(), GroupCount: g.Count}
+				best = Split{Partition: i, GroupSize: g.Size(), GroupCount: g.Count}
 				bestGroup = g
 			}
 		}
 	}
-	if best == nil {
-		return nil
+	if best.GroupSize == 0 {
+		return Split{}, false
 	}
 	if random {
 		best.Cell = bestGroup.Cells[rng.Intn(len(bestGroup.Cells))]
 	} else {
 		best.Cell = bestGroup.Cells[0]
 	}
-	return best
+	return best, true
 }
 
 // greedyCandidateCap bounds the distinct splits selectGreedy evaluates per
@@ -253,7 +206,7 @@ func (e *evaluator) selectPaper(live []*partState, random bool, rng *rand.Rand) 
 const greedyCandidateCap = 256
 
 // selectGreedy evaluates the cost delta of every distinct candidate split
-// and returns the best strictly improving one, or nil. Phase 1 assembles
+// and returns the best strictly improving one, or false. Phase 1 assembles
 // each partition's deduplicated, gain-ranked candidate cells — memoized on
 // the partition, so only freshly split partitions enumerate anything.
 // Phase 2 prices every candidate by contribution swap against the running
@@ -262,7 +215,7 @@ const greedyCandidateCap = 256
 // The reduce takes the lowest cost at the earliest position in the serial
 // enumeration order (partition index, then gain rank), so the pick matches
 // a serial scan exactly.
-func (e *evaluator) selectGreedy(live []*partState, masked, maskBits, cost int) *Split {
+func (e *evaluator) selectGreedy(live []*partState, masked, maskBits, cost int) (Split, bool) {
 	cands := make([][]int, len(live))
 	e.pool.ForEach(len(live), func(i int) {
 		if e.canceled() || live[i].size < 2 {
@@ -281,7 +234,7 @@ func (e *evaluator) selectGreedy(live []*partState, masked, maskBits, cost int) 
 		}
 	}
 	if len(all) == 0 {
-		return nil
+		return Split{}, false
 	}
 	// Score every candidate concurrently, then reduce by (cost, position).
 	e.obsScored.Add(int64(len(all)))
@@ -303,9 +256,9 @@ func (e *evaluator) selectGreedy(live []*partState, masked, maskBits, cost int) 
 		}
 	}
 	if costs[bestIdx] >= cost {
-		return nil
+		return Split{}, false
 	}
-	return &all[bestIdx]
+	return all[bestIdx], true
 }
 
 // finalize materializes the masks and the full accounting.

@@ -397,12 +397,12 @@ func TestEvaluateComparison(t *testing.T) {
 // namelessStrategy fails Params.Validate: every strategy must report a name.
 type namelessStrategy struct{}
 
-func (namelessStrategy) Name() string                 { return "" }
-func (namelessStrategy) Select(sc *Selection) []Split { return nil }
+func (namelessStrategy) Name() string                       { return "" }
+func (namelessStrategy) Select(sc *Selection) (Split, bool) { return Split{}, false }
 
 func TestStrategyString(t *testing.T) {
 	if StrategyPaper.Name() != "paper" || StrategyPaperRandom.Name() != "paper-random" ||
-		StrategyGreedyCost.Name() != "greedy-cost" || StrategyPaperRetry.Name() != "paper-retry" {
+		StrategyGreedyCost.Name() != "greedy-cost" {
 		t.Fatal("strategy names wrong")
 	}
 	// fmt's %s keeps working on the concrete built-ins.

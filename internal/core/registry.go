@@ -20,7 +20,6 @@ var (
 		StrategyPaper.Name():       StrategyPaper,
 		StrategyPaperRandom.Name(): StrategyPaperRandom,
 		StrategyGreedyCost.Name():  StrategyGreedyCost,
-		StrategyPaperRetry.Name():  StrategyPaperRetry,
 	}
 	// aliases maps accepted alternate spellings onto canonical names.
 	// "greedy" predates the registry as the facade/flow/jobs wire spelling

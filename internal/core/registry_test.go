@@ -7,12 +7,12 @@ import (
 	"testing"
 )
 
-// TestRegistryContents pins the shipped vocabulary: four canonical
+// TestRegistryContents pins the shipped vocabulary: three canonical
 // strategies plus the legacy "greedy" spelling. Growing this list is fine;
-// renaming or dropping a name breaks spooled jobs, so the test spells the
-// whole set out.
+// renaming or dropping a name fails every spooled job that carries it, so
+// the test spells the whole set out.
 func TestRegistryContents(t *testing.T) {
-	wantNames := []string{"greedy-cost", "paper", "paper-random", "paper-retry"}
+	wantNames := []string{"greedy-cost", "paper", "paper-random"}
 	if got := StrategyNames(); !reflect.DeepEqual(got, wantNames) {
 		t.Fatalf("StrategyNames() = %v, want %v", got, wantNames)
 	}
@@ -20,7 +20,7 @@ func TestRegistryContents(t *testing.T) {
 	if got := StrategyAliases(); !reflect.DeepEqual(got, wantAliases) {
 		t.Fatalf("StrategyAliases() = %v, want %v", got, wantAliases)
 	}
-	wantVocab := []string{"greedy", "greedy-cost", "paper", "paper-random", "paper-retry"}
+	wantVocab := []string{"greedy", "greedy-cost", "paper", "paper-random"}
 	if got := StrategyVocabulary(); !reflect.DeepEqual(got, wantVocab) {
 		t.Fatalf("StrategyVocabulary() = %v, want %v", got, wantVocab)
 	}

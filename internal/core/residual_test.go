@@ -12,7 +12,7 @@ import (
 )
 
 // TestResidualAgreement pins the three views of "X's left after masking" to
-// each other, for every strategy and the clustered variant:
+// each other, for every strategy:
 //
 //	Result.ResidualX            — the planner's accounting
 //	ResidualMap(...).TotalX()   — the planner's own residual X-map
@@ -41,26 +41,14 @@ func TestResidualAgreement(t *testing.T) {
 			}
 		}},
 	}
-	type runner struct {
-		name string
-		run  func(m *xmap.XMap, p Params) (*Result, error)
-	}
-	var runners []runner
-	for _, s := range []Strategy{StrategyPaper, StrategyPaperRandom, StrategyGreedyCost, StrategyPaperRetry} {
-		s := s
-		runners = append(runners, runner{name: s.Name(), run: func(m *xmap.XMap, p Params) (*Result, error) {
-			p.Strategy = s
-			return Run(m, p)
-		}})
-	}
-	runners = append(runners, runner{name: "clustered", run: RunClustered})
 	for _, fx := range fixtures {
-		for _, rn := range runners {
-			fx, rn := fx, rn
-			t.Run(fmt.Sprintf("%s_%s", fx.name, rn.name), func(t *testing.T) {
+		for _, s := range []Strategy{StrategyPaper, StrategyPaperRandom, StrategyGreedyCost} {
+			fx, s := fx, s
+			t.Run(fmt.Sprintf("%s_%s", fx.name, s.Name()), func(t *testing.T) {
 				m, params := fx.gen(t)
 				params.Seed = 1
-				res, err := rn.run(m, params)
+				params.Strategy = s
+				res, err := Run(m, params)
 				if err != nil {
 					t.Fatal(err)
 				}

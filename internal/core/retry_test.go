@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"xhybrid/internal/misr"
@@ -14,8 +13,8 @@ import (
 // *largest* equal-count group (6 cells, 50 X's each, mutually different
 // pattern sets) yields a rejected split, while a smaller group (4 cells
 // with one identical 40-pattern signature) yields an accepted one. The
-// paper's procedure tries only the largest group and gives up; the retry
-// extension walks on to the smaller group.
+// paper's procedure tries only the largest group and gives up; a selector
+// that prices every split finds the smaller group.
 func retryMap() *xmap.XMap {
 	m := xmap.New(100, 100)
 	// Group A: cells 0..5, pattern windows [7i, 7i+50) — same count (50),
@@ -47,15 +46,17 @@ func retryParams(s Strategy) Params {
 	}
 }
 
-func TestPaperStopsWhereRetryContinues(t *testing.T) {
+// TestPaperStopsWhereGreedyContinues pins Algorithm 1's stop rule on
+// retryMap: paper tries the 6-cell group once, the split is rejected and
+// the plan stays at one partition, while greedy-cost splits on the 4-cell
+// group's signature and ends below it.
+func TestPaperStopsWhereGreedyContinues(t *testing.T) {
 	m := retryMap()
 
 	paper, err := Run(m, retryParams(StrategyPaper))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The paper heuristic tries the 6-cell group, the cost rises, it stops
-	// with a single partition.
 	if len(paper.Partitions) != 1 {
 		t.Fatalf("paper partitions = %d, want 1", len(paper.Partitions))
 	}
@@ -65,58 +66,22 @@ func TestPaperStopsWhereRetryContinues(t *testing.T) {
 	if paper.Rounds[0].GroupSize != 6 {
 		t.Fatalf("paper tried group of %d, want 6", paper.Rounds[0].GroupSize)
 	}
+	if paper.TotalBits != 612 {
+		t.Fatalf("paper total = %d, want 612", paper.TotalBits)
+	}
 
-	retry, err := Run(m, retryParams(StrategyPaperRetry))
+	greedy, err := Run(m, retryParams(StrategyGreedyCost))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(retry.Partitions) < 2 {
-		t.Fatalf("retry partitions = %d, want >= 2", len(retry.Partitions))
+	if len(greedy.Partitions) < 2 {
+		t.Fatalf("greedy-cost partitions = %d, want >= 2", len(greedy.Partitions))
 	}
-	if retry.TotalBits >= paper.TotalBits {
-		t.Fatalf("retry total %d not below paper %d", retry.TotalBits, paper.TotalBits)
-	}
-	// The accepted split must come from the 4-cell group.
-	foundB := false
-	for _, r := range retry.Rounds {
-		if r.Accepted && r.GroupSize == 4 {
-			foundB = true
-		}
-	}
-	if !foundB {
-		t.Fatalf("retry never accepted the 4-cell group: %+v", retry.Rounds)
+	if greedy.TotalBits != 520 {
+		t.Fatalf("greedy-cost total = %d, want 520", greedy.TotalBits)
 	}
 	// The 4 group-B cells must be masked somewhere (their X's removed).
-	if retry.MaskedX < 160 {
-		t.Fatalf("retry masked %d X's, want >= 160", retry.MaskedX)
-	}
-}
-
-func TestRetryNeverWorseThanPaper(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		m, geom := randMap(seed)
-		pp := Params{Geom: geom, Cancel: xcancel.Config{MISR: misr.MustStandard(12), Q: 3}}
-		paper, err := Run(m, pp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr := pp
-		pr.Strategy = StrategyPaperRetry
-		retry, err := Run(m, pr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if retry.TotalBits > paper.TotalBits {
-			t.Fatalf("seed %d: retry %d worse than paper %d", seed, retry.TotalBits, paper.TotalBits)
-		}
-	}
-}
-
-func TestRetryStrategyString(t *testing.T) {
-	if StrategyPaperRetry.Name() != "paper-retry" {
-		t.Fatal("name wrong")
-	}
-	if fmt.Sprintf("%s", StrategyPaperRetry) != "paper-retry" {
-		t.Fatal("String wrong")
+	if greedy.MaskedX < 160 {
+		t.Fatalf("greedy-cost masked %d X's, want >= 160", greedy.MaskedX)
 	}
 }

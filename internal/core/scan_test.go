@@ -201,8 +201,8 @@ func TestScanMatchesPartitionMask(t *testing.T) {
 					}
 				}
 
-				// Parentless states: the all-columns scan and the
-				// self-indexed shortcut price like PartitionMask.
+				// Parentless states price like PartitionMask from their own
+				// index, whether ensureStats builds it or finds it built.
 				for k := 0; k < 6; k++ {
 					loose := e.stateFor(randVec(r, patterns, 1+k%3))
 					loose.ensureStats(e)

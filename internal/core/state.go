@@ -13,11 +13,10 @@ import (
 
 // partState caches everything the partitioner derives from one distinct
 // partition bitset. States are interned by partition content in the
-// evaluator's VecSet, so a bitset that reappears — a rejected split retried
-// in a later round, the X side of one candidate equal to the rest of
-// another, a cluster merge re-evaluated across hill-climb rounds — reuses
-// the scan results instead of recomputing them. Partition bitsets are
-// immutable once interned (splitStates and the cluster merges always build
+// evaluator's VecSet, so a bitset that reappears — a candidate split
+// re-scored in a later round, the X side of one candidate equal to the rest
+// of another — reuses the scan results instead of recomputing them.
+// Partition bitsets are immutable once interned (splitStates always builds
 // fresh vectors), so a cached value never goes stale.
 //
 // Most states are candidate split sides that only ever need their stats;
@@ -146,20 +145,14 @@ func (st *partState) commitStats(cells int) {
 	})
 }
 
-// ensureStats prices a state that is no split side: RunCtx's root and
-// RunClustered's partitions. A state carrying its own column index gets its
-// stats free — a cell is fully X exactly when its in-partition count equals
-// the size, and those columns lead byCount. Otherwise one bounded scan runs
-// over the all-columns index with global counts.
+// ensureStats prices a state that is no split side — RunCtx's root — from
+// its own column index, for free: a cell is fully X exactly when its
+// in-partition count equals the size, and those columns lead byCount.
 func (st *partState) ensureStats(e *evaluator) {
 	if st.statsReady.Load() {
 		return
 	}
-	idx := st.idx.Load()
-	if idx == nil {
-		e.scanPair(e.all.byCount, st, nil)
-		return
-	}
+	idx := st.ensureIndex(e, nil)
 	cells := 0
 	for _, cc := range idx.byCount {
 		if int(cc.count) != st.size {

@@ -6,19 +6,19 @@ import "math/rand"
 // engine owns everything else — delta pricing, the accept gate (a split
 // commits only when it strictly lowers the standard mask+cancel cost),
 // state interning and the final accounting — so a Strategy only decides
-// which splits to try, in which order, each round.
+// which split to try each round.
 //
 // Implementations must be safe for concurrent use by independent runs: a
 // built-in Strategy is a shared singleton and Select receives all per-run
 // state through the Selection. Select is called once per round; the engine
-// tries the returned candidates in order and commits the first one the cost
-// function accepts. Returning no candidates ends the run.
+// prices the returned split, commits it if the cost function accepts it
+// and otherwise stops. Returning false ends the run.
 type Strategy interface {
 	// Name is the canonical registry name — the wire vocabulary of the
 	// facade, flow specs, jobs and the HTTP API.
 	Name() string
-	// Select returns the round's candidate splits in preference order.
-	Select(sc *Selection) []Split
+	// Select returns the round's split, or false when there is none.
+	Select(sc *Selection) (Split, bool)
 }
 
 // Split is one candidate partitioning step: cut partition Partition (an
@@ -62,7 +62,7 @@ func (p Params) strategy() Strategy {
 	return p.Strategy
 }
 
-// The built-in strategies. The three paper-family selectors and the greedy
+// The built-in strategies. The two paper-family selectors and the greedy
 // selector call straight into the evaluator's private machinery — they are
 // the same code paths the pre-registry engine dispatched to, so plans and
 // cost accounting are byte-identical to the enum era (locked by the golden
@@ -80,54 +80,28 @@ var (
 	// actual cost delta of every distinct candidate split, applying the
 	// best one. More expensive per round; used for the ablation study.
 	StrategyGreedyCost Strategy = greedyStrategy{}
-	// StrategyPaperRetry extends Algorithm 1: when the best group's split
-	// is rejected by the cost function, the next candidate groups (up to
-	// retryBudget) are tried before giving up — the paper stops at the
-	// first rejection.
-	StrategyPaperRetry Strategy = paperRetryStrategy{}
 )
 
 type paperStrategy struct{}
 
 func (paperStrategy) Name() string   { return "paper" }
 func (paperStrategy) String() string { return "paper" }
-func (s paperStrategy) Select(sc *Selection) []Split {
-	if cand := sc.e.selectPaper(sc.live, false, sc.rng); cand != nil {
-		return []Split{*cand}
-	}
-	return nil
+func (paperStrategy) Select(sc *Selection) (Split, bool) {
+	return sc.e.selectPaper(sc.live, false, sc.rng)
 }
 
 type paperRandomStrategy struct{}
 
 func (paperRandomStrategy) Name() string   { return "paper-random" }
 func (paperRandomStrategy) String() string { return "paper-random" }
-func (s paperRandomStrategy) Select(sc *Selection) []Split {
-	if cand := sc.e.selectPaper(sc.live, true, sc.rng); cand != nil {
-		return []Split{*cand}
-	}
-	return nil
-}
-
-// retryBudget bounds the candidate groups StrategyPaperRetry tries after a
-// cost rejection before stopping.
-const retryBudget = 8
-
-type paperRetryStrategy struct{}
-
-func (paperRetryStrategy) Name() string   { return "paper-retry" }
-func (paperRetryStrategy) String() string { return "paper-retry" }
-func (s paperRetryStrategy) Select(sc *Selection) []Split {
-	return sc.e.selectPaperList(sc.live, retryBudget)
+func (paperRandomStrategy) Select(sc *Selection) (Split, bool) {
+	return sc.e.selectPaper(sc.live, true, sc.rng)
 }
 
 type greedyStrategy struct{}
 
 func (greedyStrategy) Name() string   { return "greedy-cost" }
 func (greedyStrategy) String() string { return "greedy-cost" }
-func (s greedyStrategy) Select(sc *Selection) []Split {
-	if cand := sc.e.selectGreedy(sc.live, sc.masked, sc.maskBits, sc.cost); cand != nil {
-		return []Split{*cand}
-	}
-	return nil
+func (greedyStrategy) Select(sc *Selection) (Split, bool) {
+	return sc.e.selectGreedy(sc.live, sc.masked, sc.maskBits, sc.cost)
 }

@@ -70,10 +70,10 @@ func BuildCtx(ctx context.Context, m *xmap.XMap, params core.Params, tcfg tester
 
 // Assemble builds the tester program around an already-computed
 // partitioning result: pattern ordering, halt budget and the cycle-level
-// schedule. BuildCtx is Assemble after core.RunCtx; callers that produced
-// the result some other way — RunClustered plans, or stratbench racing many
-// strategies over one X-map — assemble directly and verify through the same
-// replay path. rec may be nil.
+// schedule. BuildCtx is Assemble after core.RunCtx; callers that already
+// hold a result — stratbench racing many strategies over one X-map —
+// assemble directly and verify through the same replay path. rec may be
+// nil.
 func Assemble(res *core.Result, geom scan.Geometry, cancel xcancel.Config, tcfg tester.Config, rec *obs.Recorder) (*Program, error) {
 	prog := &Program{
 		Geom:         geom,

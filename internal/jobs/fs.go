@@ -20,7 +20,6 @@ type FS interface {
 	Rename(oldpath, newpath string) error
 	MkdirAll(path string, perm os.FileMode) error
 	ReadDir(name string) ([]fs.DirEntry, error)
-	Remove(name string) error
 }
 
 // OSFS is the passthrough FS backed by package os.
@@ -35,4 +34,3 @@ func (OSFS) MkdirAll(path string, perm os.FileMode) error {
 	return os.MkdirAll(path, perm)
 }
 func (OSFS) ReadDir(name string) ([]fs.DirEntry, error) { return os.ReadDir(name) }
-func (OSFS) Remove(name string) error                   { return os.Remove(name) }

@@ -446,7 +446,7 @@ func TestOptionsNormalizeRoundTrip(t *testing.T) {
 	for _, o := range []Options{
 		{},
 		{Strategy: "greedy", Seed: 3},
-		{MISRSize: 16, Q: 4, Strategy: "paper-retry", MaxRounds: 5, Workers: 2},
+		{MISRSize: 16, Q: 4, Strategy: "greedy-cost", MaxRounds: 5, Workers: 2},
 		{Q: 1, Strategy: "paper-random"},
 	} {
 		norm, err := o.Normalized()

@@ -110,9 +110,10 @@ func TestListSkipsHalfCreatedJob(t *testing.T) {
 }
 
 // TestRecoverRemovedStrategy: a job spooled before its strategy left the
-// registry (here the former "xcode-hybrid") must not wedge recovery. The
-// recovered job fails with the enumerating unknown-strategy error, and a
-// second spooled job still completes with the reference plan.
+// registry (here the former "xcode-hybrid" and "paper-retry") must not
+// wedge recovery. Each such recovered job fails with the enumerating
+// unknown-strategy error, and a valid spooled job still completes with the
+// reference plan.
 func TestRecoverRemovedStrategy(t *testing.T) {
 	dir := t.TempDir()
 	x := testInput(t)
@@ -121,17 +122,19 @@ func TestRecoverRemovedStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	removed := good
-	removed.Strategy = "xcode-hybrid"
+	removedNames := []string{"xcode-hybrid", "paper-retry"}
 
 	store, err := NewStore(dir, nil, RetryPolicy{}, obs.New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, meta := range []Meta{
-		{ID: "removed-strategy", State: StateRunning, Options: removed},
-		{ID: "valid-strategy", State: StateSubmitted, Options: good},
-	} {
+	metas := []Meta{{ID: "valid-strategy", State: StateSubmitted, Options: good}}
+	for _, name := range removedNames {
+		removed := good
+		removed.Strategy = name
+		metas = append(metas, Meta{ID: "removed-" + name, State: StateRunning, Options: removed})
+	}
+	for _, meta := range metas {
 		if err := store.CreateJob(context.Background(), meta, x); err != nil {
 			t.Fatal(err)
 		}
@@ -143,33 +146,35 @@ func TestRecoverRemovedStrategy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Stop()
-	if got := rec.Snapshot().CounterValue("jobs.recovered"); got != 2 {
-		t.Fatalf("jobs.recovered = %d, want 2", got)
+	if got := rec.Snapshot().CounterValue("jobs.recovered"); got != int64(len(metas)) {
+		t.Fatalf("jobs.recovered = %d, want %d", got, len(metas))
 	}
 
-	st := waitTerminal(t, m, "removed-strategy")
-	if st.State != StateFailed {
-		t.Fatalf("job with a removed strategy = %s, want failed", st.State)
-	}
-	// The spool keeps the error's text; it must be the text of an error
-	// wrapping ErrUnknownStrategy, naming the rejected strategy.
-	_, lookupErr := xhybrid.PartitionCtx(context.Background(), x, removed.xhybrid())
-	if !errors.Is(lookupErr, xhybrid.ErrUnknownStrategy) {
-		t.Fatalf("partitioning under %q: %v, want ErrUnknownStrategy", removed.Strategy, lookupErr)
-	}
-	if st.Error != lookupErr.Error() || !strings.Contains(st.Error, `"xcode-hybrid"`) {
-		t.Fatalf("job error %q, want %q", st.Error, lookupErr)
+	for _, meta := range metas[1:] {
+		st := waitTerminal(t, m, meta.ID)
+		if st.State != StateFailed {
+			t.Fatalf("job with removed strategy %q = %s, want failed", meta.Options.Strategy, st.State)
+		}
+		// The spool keeps the error's text; it must be the text of an error
+		// wrapping ErrUnknownStrategy, naming the rejected strategy.
+		_, lookupErr := xhybrid.PartitionCtx(context.Background(), x, meta.Options.xhybrid())
+		if !errors.Is(lookupErr, xhybrid.ErrUnknownStrategy) {
+			t.Fatalf("partitioning under %q: %v, want ErrUnknownStrategy", meta.Options.Strategy, lookupErr)
+		}
+		if st.Error != lookupErr.Error() || !strings.Contains(st.Error, `"`+meta.Options.Strategy+`"`) {
+			t.Fatalf("job error %q, want %q", st.Error, lookupErr)
+		}
 	}
 
 	if st := waitTerminal(t, m, "valid-strategy"); st.State != StateDone {
-		t.Fatalf("second recovered job = %s (error %q), want done", st.State, st.Error)
+		t.Fatalf("recovered valid job = %s (error %q), want done", st.State, st.Error)
 	}
 	plan, err := m.Result(context.Background(), "valid-strategy")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(planJSON(t, plan), wantJSON) || !bytes.Equal(planText(t, plan, x), wantText) {
-		t.Error("second recovered job's plan differs from the uninterrupted run")
+		t.Error("recovered valid job's plan differs from the uninterrupted run")
 	}
 }
 

@@ -141,10 +141,9 @@ type Options struct {
 	// Q is the number of X-free combinations per halt (default 7).
 	Q int
 	// Strategy selects the split rule by its registry name: "paper"
-	// (default), "paper-random", "paper-retry" or "greedy-cost" (accepted
-	// alias "greedy"). Strategies enumerates the full vocabulary; an
-	// unknown name returns an error wrapping ErrUnknownStrategy that lists
-	// it.
+	// (default), "paper-random" or "greedy-cost" (accepted alias
+	// "greedy"). Strategies enumerates the full vocabulary; an unknown name
+	// returns an error wrapping ErrUnknownStrategy that lists it.
 	Strategy string
 	// Seed drives "paper-random".
 	Seed int64
