@@ -359,7 +359,11 @@ func BenchmarkFaultSimulation(b *testing.B) {
 	}{
 		{"serial", func() (*fault.Result, error) { return fault.Simulate(c, loads, pis, faults, nil) }},
 		{"ppsfp", func() (*fault.Result, error) {
-			res, err := fault.SimulatePPSFP(context.Background(), c, loads, pis, faults, []fault.Observe{nil}, fault.PPSFPOptions{})
+			blocks, err := sim.CaptureBlocks(context.Background(), c, loads, pis, 0)
+			if err != nil {
+				return nil, err
+			}
+			res, err := fault.SimulatePPSFP(context.Background(), c, blocks, faults, []fault.Observe{nil}, fault.PPSFPOptions{})
 			if err != nil {
 				return nil, err
 			}

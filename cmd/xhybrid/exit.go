@@ -10,6 +10,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -68,8 +69,10 @@ func exit(code int) {
 }
 
 // die reports a fatal error and exits through the cleanup path, so a
-// failing run still flushes its profiles and prints its stats.
+// failing run still flushes its profiles and prints its stats. The line
+// carries one "xhybrid: " prefix, also for the facade's errors, which
+// bring their own.
 func die(err error) {
-	fmt.Fprintln(os.Stderr, "xhybrid:", err)
+	fmt.Fprintln(os.Stderr, "xhybrid:", strings.TrimPrefix(err.Error(), "xhybrid: "))
 	exit(1)
 }

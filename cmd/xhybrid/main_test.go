@@ -143,3 +143,25 @@ func TestVerifyRejectsWideMISR(t *testing.T) {
 		t.Fatalf("a stage ran before validation:\n%s", stdout)
 	}
 }
+
+// TestErrorLinesCarryOnePrefix: a fatal error prints one line that starts
+// with exactly one "xhybrid: ", whether the error comes from the facade
+// (which prefixes its own) or from the operating system.
+func TestErrorLinesCarryOnePrefix(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	cases := [][]string{
+		{"partition", "-workload", "ckt-b4", "-strategy", "nope"},
+		{"partition", "-workload", "nope"},
+		{"analyze", "-in", missing},
+	}
+	for _, args := range cases {
+		_, stderr, code := runCLI(t, args...)
+		if code != 1 {
+			t.Fatalf("%v: exit %d, want 1", args, code)
+		}
+		if !strings.HasPrefix(stderr, "xhybrid: ") || strings.Count(stderr, "xhybrid: ") != 1 ||
+			strings.Count(stderr, "\n") != 1 {
+			t.Errorf("%v: stderr %q, want one line with one xhybrid: prefix", args, stderr)
+		}
+	}
+}

@@ -53,7 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ckt, st, xm := xb.Circuit, xb.Stimuli, xb.XMap
+	ckt, xm := xb.Circuit, xb.XMap
 	fmt.Printf("circuit %s: %d gates, %d scan cells; %d patterns, %d X's (density %s)\n",
 		ckt.Name, ckt.NumGates(), len(ckt.ScanCells), xb.Responses.Patterns(), xm.TotalX(),
 		report.Percent(xm.Density()))
@@ -74,12 +74,13 @@ func main() {
 	lossyParts, lost := lossyMasks(xm, res, *lossyFrac)
 	fmt.Printf("lossy threshold mask (frac=%.2f): destroys %d observable captures\n", *lossyFrac, lost)
 
-	// The same LFSR stimuli the responses came from. One PPSFP pass scores
-	// all three observability predicates from the same faulty captures.
+	// The fault-free blocks the responses were unpacked from. One PPSFP
+	// pass scores all three observability predicates from the same faulty
+	// captures.
 	faults := fault.Sample(fault.AllFaults(ckt), *nFaults, *seed)
 	names := []string{"full (no compaction)", "proposed hybrid masks", "lossy threshold masks"}
 	preds := []fault.Observe{nil, proposed, maskObserver(lossyParts)}
-	results, err := fault.SimulatePPSFP(context.Background(), ckt, st.Loads, st.PIs, faults, preds, fault.PPSFPOptions{})
+	results, err := fault.SimulatePPSFP(context.Background(), ckt, xb.Blocks, faults, preds, fault.PPSFPOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,13 +6,17 @@ import (
 
 	"xhybrid/internal/atpg"
 	"xhybrid/internal/netlist"
+	"xhybrid/internal/sim"
 )
 
 // BenchmarkFaultSim is the CI-gated PPSFP benchmark: a flow-shaped workload
 // (1024-cell circuit, 128 patterns, collapsed 200-fault sample, dual
 // observability) pinned to one worker so the number is a kernel measurement,
-// not a scheduling one. The bench-regress CI job fails a >20% median
-// regression against the merge base.
+// not a scheduling one. Each iteration builds the fault-free blocks and then
+// runs PPSFP over them, the work one SimulatePPSFP call did when it
+// simulated the good machine itself, so the gate keeps comparing like with
+// like. The bench-regress CI job fails a >20% median regression against
+// the merge base.
 func BenchmarkFaultSim(b *testing.B) {
 	c, err := netlist.Generate(netlist.GenConfig{
 		Name:      "bench",
@@ -32,7 +36,11 @@ func BenchmarkFaultSim(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := SimulatePPSFP(ctx, c, st.Loads, st.PIs, faults, preds, PPSFPOptions{Workers: 1})
+		blocks, err := sim.CaptureBlocks(ctx, c, st.Loads, st.PIs, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := SimulatePPSFP(ctx, c, blocks, faults, preds, PPSFPOptions{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -21,45 +21,7 @@ type Class struct {
 // logic and is not equivalent). Classes are returned in order of their
 // representative's first appearance.
 func Collapse(c *netlist.Circuit, faults []Def) []Class {
-	fanout := make([]int, c.NumGates())
-	for _, g := range c.Gates {
-		for _, f := range g.Fanin {
-			fanout[f]++
-		}
-	}
-	for _, id := range c.POs {
-		fanout[id]++ // observed directly; treat as extra fanout
-	}
-
-	root := func(d Def) Def {
-		for {
-			g := c.Gates[d.Node]
-			var next int
-			flip := false
-			switch g.Type {
-			case netlist.Buf:
-				next = g.Fanin[0]
-			case netlist.Not:
-				next = g.Fanin[0]
-				flip = true
-			default:
-				return d
-			}
-			if fanout[next] != 1 {
-				return d
-			}
-			// Never collapse across state or tie boundaries.
-			switch c.Gates[next].Type {
-			case netlist.DFF, netlist.NonScanDFF, netlist.Tie0, netlist.Tie1, netlist.TieX:
-				return d
-			}
-			d.Node = next
-			if flip {
-				d.SA = logic.Not(d.SA)
-			}
-		}
-	}
-
+	root := rootOf(c)
 	// index[2*node+sa] is the class of representative {node, sa} plus one;
 	// zero means no class yet.
 	index := make([]int32, 2*c.NumGates())
@@ -76,6 +38,62 @@ func Collapse(c *netlist.Circuit, faults []Def) []Class {
 		classes[i].Members = append(classes[i].Members, f)
 	}
 	return classes
+}
+
+// CollapsedFaults is Representatives(Collapse(c, AllFaults(c))) together
+// with len(AllFaults(c)), computed in one pass over the gates: it builds
+// neither the full fault list nor the classes' member lists. The flow's
+// faultsim stage draws its sample from it.
+func CollapsedFaults(c *netlist.Circuit) (reps []Def, all int) {
+	root := rootOf(c)
+	seen := make([]bool, 2*c.NumGates())
+	reps = make([]Def, 0, 2*faultSites(c))
+	for id := range c.Gates {
+		if stateOrTie(c.Gates[id].Type) {
+			continue
+		}
+		for _, sa := range [2]logic.V{logic.Zero, logic.One} {
+			all++
+			r := root(Def{Node: id, SA: sa})
+			if key := 2*r.Node + int(r.SA); !seen[key] {
+				seen[key] = true
+				reps = append(reps, r)
+			}
+		}
+	}
+	return reps, all
+}
+
+// rootOf returns the equivalence rule Collapse and CollapsedFaults share:
+// root follows a fault back through single-fanout buffers and inverters
+// (flipping the stuck value across each inverter) to its class
+// representative, never crossing a state or tie boundary.
+func rootOf(c *netlist.Circuit) (root func(Def) Def) {
+	fanout := make([]int32, c.NumGates())
+	for id := range c.Gates {
+		for _, f := range c.Gates[id].Fanin {
+			fanout[f]++
+		}
+	}
+	for _, id := range c.POs {
+		fanout[id]++ // observed directly; treat as extra fanout
+	}
+	return func(d Def) Def {
+		for {
+			g := &c.Gates[d.Node]
+			if g.Type != netlist.Buf && g.Type != netlist.Not {
+				return d
+			}
+			next := g.Fanin[0]
+			if fanout[next] != 1 || stateOrTie(c.Gates[next].Type) {
+				return d
+			}
+			if g.Type == netlist.Not {
+				d.SA = logic.Not(d.SA)
+			}
+			d.Node = next
+		}
+	}
 }
 
 // Representatives extracts one fault per class.

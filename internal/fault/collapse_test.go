@@ -171,3 +171,36 @@ func TestCollapseOrder(t *testing.T) {
 		t.Fatalf("classes hold %d faults, input has %d", seen, len(all))
 	}
 }
+
+// TestCollapsedFaultsMatchesCollapse: the flow's one-pass sample source
+// returns exactly the representatives Collapse finds over AllFaults, in the
+// same order, and AllFaults' length — on the buffer/inverter chain and on
+// generated circuits.
+func TestCollapsedFaultsMatchesCollapse(t *testing.T) {
+	chain, _ := chainCircuit(t)
+	circuits := []*netlist.Circuit{chain}
+	for seed := int64(1); seed <= 6; seed++ {
+		circuits = append(circuits, mkCircuit(t, seed))
+	}
+	big, err := netlist.Generate(netlist.GenConfig{Name: "big", ScanCells: 512, PIs: 8, XClusters: 12, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	circuits = append(circuits, big)
+	for _, c := range circuits {
+		all := AllFaults(c)
+		want := Representatives(Collapse(c, all))
+		reps, n := CollapsedFaults(c)
+		if n != len(all) {
+			t.Fatalf("%s: counted %d faults, AllFaults has %d", c.Name, n, len(all))
+		}
+		if len(reps) != len(want) {
+			t.Fatalf("%s: %d representatives, Collapse has %d", c.Name, len(reps), len(want))
+		}
+		for i := range want {
+			if reps[i] != want[i] {
+				t.Fatalf("%s: representative %d is %v, Collapse has %v", c.Name, i, reps[i], want[i])
+			}
+		}
+	}
+}

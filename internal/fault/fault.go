@@ -45,15 +45,34 @@ func (d Def) String() string { return fmt.Sprintf("n%d/SA%d", d.Node, d.SA.Bit()
 // flop-output faults need a shift-path model and tie faults are untestable
 // or equivalent to a fanout fault.
 func AllFaults(c *netlist.Circuit) []Def {
-	var out []Def
-	for id, g := range c.Gates {
-		switch g.Type {
-		case netlist.DFF, netlist.NonScanDFF, netlist.Tie0, netlist.Tie1, netlist.TieX:
-			continue
+	out := make([]Def, 0, 2*faultSites(c))
+	for id := range c.Gates {
+		if !stateOrTie(c.Gates[id].Type) {
+			out = append(out, Def{Node: id, SA: logic.Zero}, Def{Node: id, SA: logic.One})
 		}
-		out = append(out, Def{Node: id, SA: logic.Zero}, Def{Node: id, SA: logic.One})
 	}
 	return out
+}
+
+// stateOrTie reports whether a node kind is a storage element or a tie
+// cell: no fault sits on its output and no collapse chain crosses it.
+func stateOrTie(t netlist.GateType) bool {
+	switch t {
+	case netlist.DFF, netlist.NonScanDFF, netlist.Tie0, netlist.Tie1, netlist.TieX:
+		return true
+	}
+	return false
+}
+
+// faultSites counts the nodes AllFaults puts two faults on.
+func faultSites(c *netlist.Circuit) int {
+	n := 0
+	for id := range c.Gates {
+		if !stateOrTie(c.Gates[id].Type) {
+			n++
+		}
+	}
+	return n
 }
 
 // Sample returns up to n faults drawn without replacement.

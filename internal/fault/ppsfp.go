@@ -6,7 +6,9 @@ package fault
 //
 //  1. Word-parallel good machine. Patterns are cut into 64-lane blocks and
 //     the fault-free machine is evaluated exactly once per block
-//     (sim.PSim.CaptureBlock), retaining every node's word.
+//     (sim.CaptureBlocks), retaining every node's word. The engine takes
+//     those blocks as input, so the flow evaluates the good machine once,
+//     in its simulate stage, and hands the same blocks to faultsim.
 //  2. Cone-limited fault evaluation. Each fault re-evaluates only its
 //     fanout cone (sim.ConeSim), reading good-machine words at the cone
 //     frontier — the per-fault cost is proportional to the cone, not the
@@ -22,8 +24,9 @@ package fault
 // The contract is exact equivalence with the reference simulator: for every
 // predicate j, the returned Result j (Detected and per-fault first
 // detecting pattern) is byte-identical to Simulate(c, loads, pis, faults,
-// preds[j]), at any worker count. TestPPSFPMatchesSerial locks this across
-// circuits × predicates × worker counts under -race.
+// preds[j]) over the stimuli the blocks were built from, at any worker
+// count. TestPPSFPMatchesSerial locks this across circuits × predicates ×
+// worker counts under -race.
 
 import (
 	"context"
@@ -31,7 +34,6 @@ import (
 	"math/bits"
 	"sync/atomic"
 
-	"xhybrid/internal/logic"
 	"xhybrid/internal/netlist"
 	"xhybrid/internal/obs"
 	"xhybrid/internal/pool"
@@ -61,12 +63,16 @@ type PPSFPOptions struct {
 // SimulatePPSFP runs parallel-pattern single-fault propagation over the
 // fault list and returns one Result per observability predicate, each
 // exactly equal — Detected count and per-fault first detecting pattern — to
-// a serial Simulate run under that predicate alone. A nil predicate means
-// full observability. Canceling ctx aborts between faults with the
+// a serial Simulate run under that predicate alone. blocks is the circuit's
+// fault-free machine as sim.CaptureBlocks returns it: block b holds
+// patterns [64b, 64b+64), and only the last may be partial. A nil predicate
+// means full observability. Canceling ctx aborts between faults with the
 // context's error.
-func SimulatePPSFP(ctx context.Context, c *netlist.Circuit, loads, pis []logic.Vector, faults []Def, preds []Observe, opt PPSFPOptions) ([]*Result, error) {
-	if len(loads) != len(pis) {
-		return nil, fmt.Errorf("fault: %d loads but %d pi vectors", len(loads), len(pis))
+func SimulatePPSFP(ctx context.Context, c *netlist.Circuit, blocks []*sim.Block, faults []Def, preds []Observe, opt PPSFPOptions) ([]*Result, error) {
+	for b, blk := range blocks {
+		if blk == nil || blk.Circuit() != c || (b < len(blocks)-1 && blk.Patterns() != 64) {
+			return nil, fmt.Errorf("fault: block %d is not a 64-pattern block of circuit %q", b, c.Name)
+		}
 	}
 	if len(preds) == 0 {
 		return nil, fmt.Errorf("fault: no observability predicates")
@@ -84,49 +90,20 @@ func SimulatePPSFP(ctx context.Context, c *netlist.Circuit, loads, pis []logic.V
 			results[j].DetectedBy[i] = -1
 		}
 	}
-	nb := (len(loads) + 63) / 64
+	nb := len(blocks)
 	if nb == 0 || len(faults) == 0 {
 		return results, ctx.Err()
 	}
 
 	p := pool.New(opt.Workers)
 	defer p.Close()
-
-	// Phase 1: the good machine, once per 64-pattern block, fanned out
-	// position-indexed so the retained words are worker-count independent.
-	blocks := make([]*sim.Block, nb)
 	errs := make([]error, p.Workers())
-	p.Chunks(nb, func(ci, lo, hi int) {
-		ps := sim.NewParallel(c)
-		for b := lo; b < hi; b++ {
-			if err := ctx.Err(); err != nil {
-				errs[ci] = err
-				return
-			}
-			base := b * 64
-			top := base + 64
-			if top > len(loads) {
-				top = len(loads)
-			}
-			blk, err := ps.CaptureBlock(loads[base:top], pis[base:top])
-			if err != nil {
-				errs[ci] = err
-				return
-			}
-			blocks[b] = blk
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 
-	// Phase 2: shard the fault list across the workers. Every fault's
-	// lifecycle — cone, per-block evaluation, per-predicate first
-	// detection, drop decision — is independent of every other fault's,
-	// and all writes are position-indexed by fault, so the assembled
-	// results are byte-identical at any worker count.
+	// Shard the fault list across the workers. Every fault's lifecycle —
+	// cone, per-block evaluation, per-predicate first detection, drop
+	// decision — is independent of every other fault's, and all writes are
+	// position-indexed by fault, so the assembled results are
+	// byte-identical at any worker count.
 	ix := sim.NewConeIndex(c)
 	type workerStats struct {
 		cones, coneGates, gateEvals int64

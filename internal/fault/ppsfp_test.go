@@ -7,8 +7,21 @@ import (
 
 	"xhybrid/internal/atpg"
 	"xhybrid/internal/logic"
+	"xhybrid/internal/netlist"
 	"xhybrid/internal/obs"
+	"xhybrid/internal/sim"
 )
+
+// blocksOf builds the fault-free blocks PPSFP runs over, as the flow's
+// simulate stage does.
+func blocksOf(t testing.TB, c *netlist.Circuit, st atpg.Stimuli, workers int) []*sim.Block {
+	t.Helper()
+	blocks, err := sim.CaptureBlocks(context.Background(), c, st.Loads, st.PIs, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blocks
+}
 
 // ppsfpPreds is the predicate matrix the equivalence property runs over:
 // full observability, a cell-restricted mask, and a pattern×cell mix — the
@@ -44,7 +57,7 @@ func TestPPSFPMatchesSerial(t *testing.T) {
 			serial[j] = ref
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
-			got, err := SimulatePPSFP(context.Background(), c, st.Loads, st.PIs, faults, preds,
+			got, err := SimulatePPSFP(context.Background(), c, blocksOf(t, c, st, workers), faults, preds,
 				PPSFPOptions{Workers: workers})
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
@@ -68,22 +81,32 @@ func TestPPSFPMatchesSerial(t *testing.T) {
 func TestPPSFPValidation(t *testing.T) {
 	c := mkCircuit(t, 6)
 	ctx := context.Background()
-	if _, err := SimulatePPSFP(ctx, c, make([]logic.Vector, 2), make([]logic.Vector, 3), nil, []Observe{nil}, PPSFPOptions{}); err == nil {
-		t.Fatal("accepted mismatched stimuli")
-	}
-	st := atpg.GenerateStimuli(4, len(c.ScanCells), len(c.PIs), 1)
-	if _, err := SimulatePPSFP(ctx, c, st.Loads, st.PIs, nil, nil, PPSFPOptions{}); err == nil {
+	st := atpg.GenerateStimuli(100, len(c.ScanCells), len(c.PIs), 1)
+	blocks := blocksOf(t, c, st, 1)
+	if _, err := SimulatePPSFP(ctx, c, blocks, nil, nil, PPSFPOptions{}); err == nil {
 		t.Fatal("accepted empty predicate list")
 	}
 	bad := []Def{{Node: c.NumGates(), SA: logic.One}}
-	if _, err := SimulatePPSFP(ctx, c, st.Loads, st.PIs, bad, []Observe{nil}, PPSFPOptions{}); err == nil {
+	if _, err := SimulatePPSFP(ctx, c, blocks, bad, []Observe{nil}, PPSFPOptions{}); err == nil {
 		t.Fatal("accepted out-of-range fault node")
+	}
+	// Pattern numbering assumes full blocks in order: a partial block may
+	// only come last, and every block must be of this circuit.
+	if _, err := SimulatePPSFP(ctx, c, []*sim.Block{blocks[1], blocks[0]}, nil, []Observe{nil}, PPSFPOptions{}); err == nil {
+		t.Fatal("accepted a partial block before a full one")
+	}
+	if _, err := SimulatePPSFP(ctx, c, []*sim.Block{blocks[0], nil}, nil, []Observe{nil}, PPSFPOptions{}); err == nil {
+		t.Fatal("accepted a nil block")
+	}
+	other := mkCircuit(t, 7)
+	if _, err := SimulatePPSFP(ctx, other, blocks, nil, []Observe{nil}, PPSFPOptions{}); err == nil {
+		t.Fatal("accepted blocks of another circuit")
 	}
 }
 
 func TestPPSFPEmpty(t *testing.T) {
 	c := mkCircuit(t, 7)
-	res, err := SimulatePPSFP(context.Background(), c, nil, nil, Sample(AllFaults(c), 5, 1), []Observe{nil, nil}, PPSFPOptions{})
+	res, err := SimulatePPSFP(context.Background(), c, nil, Sample(AllFaults(c), 5, 1), []Observe{nil, nil}, PPSFPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,9 +124,10 @@ func TestPPSFPCancel(t *testing.T) {
 	c := mkCircuit(t, 8)
 	st := atpg.GenerateStimuli(64, len(c.ScanCells), len(c.PIs), 3)
 	faults := Sample(AllFaults(c), 40, 3)
+	blocks := blocksOf(t, c, st, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SimulatePPSFP(ctx, c, st.Loads, st.PIs, faults, []Observe{nil}, PPSFPOptions{}); err == nil {
+	if _, err := SimulatePPSFP(ctx, c, blocks, faults, []Observe{nil}, PPSFPOptions{}); err == nil {
 		t.Fatal("canceled context not reported")
 	}
 }
@@ -116,7 +140,7 @@ func TestPPSFPProgressAndCounters(t *testing.T) {
 	var mu sync.Mutex
 	var last int
 	calls := 0
-	_, err := SimulatePPSFP(context.Background(), c, st.Loads, st.PIs, faults, []Observe{nil},
+	_, err := SimulatePPSFP(context.Background(), c, blocksOf(t, c, st, 2), faults, []Observe{nil},
 		PPSFPOptions{Workers: 2, Obs: rec, ProgressEvery: 4, OnProgress: func(done, total int) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -154,7 +178,7 @@ func TestPPSFPCountersDeterministic(t *testing.T) {
 	var want obs.Snapshot
 	for i, workers := range []int{1, 4} {
 		rec := obs.New()
-		if _, err := SimulatePPSFP(context.Background(), c, st.Loads, st.PIs, faults, []Observe{nil, ppsfpPreds[1].obs},
+		if _, err := SimulatePPSFP(context.Background(), c, blocksOf(t, c, st, workers), faults, []Observe{nil, ppsfpPreds[1].obs},
 			PPSFPOptions{Workers: workers, Obs: rec}); err != nil {
 			t.Fatal(err)
 		}

@@ -19,11 +19,9 @@ import (
 	"xhybrid/internal/atpg"
 	"xhybrid/internal/core"
 	"xhybrid/internal/fault"
-	"xhybrid/internal/logic"
 	"xhybrid/internal/misr"
 	"xhybrid/internal/netlist"
 	"xhybrid/internal/obs"
-	"xhybrid/internal/pool"
 	"xhybrid/internal/scan"
 	"xhybrid/internal/sim"
 	"xhybrid/internal/tester"
@@ -261,14 +259,16 @@ type Report struct {
 }
 
 // XMapBuild is the product of the pipeline's front half (stages 1-4): the
-// generated circuit, its scan geometry, the simulated three-valued
-// responses, and the X-map extracted from them with its canonical XMAPB
-// digest. Everything downstream — partitioning, replay, fault simulation —
-// consumes only these.
+// generated circuit, its scan geometry, the fault-free machine's evaluated
+// 64-pattern blocks, the three-valued responses unpacked from them, and the
+// X-map extracted from those with its canonical XMAPB digest. Everything
+// downstream — partitioning, replay, fault simulation — consumes only
+// these; fault simulation reuses the blocks instead of simulating the
+// circuit again.
 type XMapBuild struct {
 	Circuit   *netlist.Circuit
 	Geom      scan.Geometry
-	Stimuli   atpg.Stimuli
+	Blocks    []*sim.Block
 	Responses *scan.ResponseSet
 	XMap      *xmap.XMap
 	Digest    string
@@ -323,7 +323,7 @@ func BuildXMapStaged(ctx context.Context, spec Spec, stage func(name string) fun
 
 	// Stage 3: three-valued simulation, fanned out over 64-pattern blocks.
 	end = stage("simulate")
-	set, err := simulateParallel(ctx, ckt, geom, st, spec.Workers)
+	blocks, set, err := simulate(ctx, ckt, geom, st, spec.Workers)
 	end()
 	if err != nil {
 		return nil, err
@@ -341,7 +341,7 @@ func BuildXMapStaged(ctx context.Context, spec Spec, stage func(name string) fun
 	return &XMapBuild{
 		Circuit:   ckt,
 		Geom:      geom,
-		Stimuli:   st,
+		Blocks:    blocks,
 		Responses: set,
 		XMap:      m,
 		Digest:    hex.EncodeToString(digest.Sum(nil)),
@@ -383,7 +383,12 @@ func RunSpec(ctx context.Context, spec Spec, cfg RunConfig) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	ckt, geom, st, set, m := xb.Circuit, xb.Geom, xb.Stimuli, xb.Responses, xb.XMap
+	ckt, geom, set, m := xb.Circuit, xb.Geom, xb.Responses, xb.XMap
+	faultsim := spec.FaultSample > 0 || spec.FaultFull
+	var blocks []*sim.Block // the fault-free machine, kept only for faultsim
+	if faultsim {
+		blocks = xb.Blocks
+	}
 	rep.Gates = len(ckt.Gates)
 	rep.XCells = m.NumXCells()
 	rep.TotalX = m.TotalX()
@@ -440,9 +445,9 @@ func RunSpec(ctx context.Context, spec Spec, cfg RunConfig) (*Report, error) {
 	}
 
 	// Stage 7 (optional): fault simulation with and without the masks.
-	if spec.FaultSample > 0 || spec.FaultFull {
+	if faultsim {
 		end = stage("faultsim")
-		cov, err := measureCoverage(ctx, ckt, st, prog, spec, cfg)
+		cov, err := measureCoverage(ctx, ckt, blocks, prog, spec, cfg)
 		end()
 		if err != nil {
 			return nil, err
@@ -467,52 +472,24 @@ func (rep *Report) judge(replay error) {
 	rep.Preserved = rep.Violation == ""
 }
 
-// simulateParallel captures every pattern's response, fanning 64-pattern
-// blocks over a worker pool. Each chunk owns a private parallel simulator
-// (the simulators carry per-instance scratch state) and writes into
-// position-indexed slots, so the assembled response set — and everything
-// derived from it — is byte-identical for any worker count.
-func simulateParallel(ctx context.Context, ckt *netlist.Circuit, geom scan.Geometry, st atpg.Stimuli, workers int) (*scan.ResponseSet, error) {
-	patterns := len(st.Loads)
-	blocks := (patterns + 63) / 64
-	blockCaps := make([][]logic.Vector, blocks)
-	p := pool.New(workers)
-	defer p.Close()
-	errs := make([]error, p.Workers())
-	p.Chunks(blocks, func(c, lo, hi int) {
-		ps := sim.NewParallel(ckt)
-		for b := lo; b < hi; b++ {
-			if ctx.Err() != nil {
-				errs[c] = ctx.Err()
-				return
-			}
-			base := b * 64
-			top := base + 64
-			if top > patterns {
-				top = patterns
-			}
-			caps, err := ps.Capture(st.Loads[base:top], st.PIs[base:top])
-			if err != nil {
-				errs[c] = err
-				return
-			}
-			blockCaps[b] = caps
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+// simulate evaluates the fault-free machine over every pattern in 64-pattern
+// blocks (sim.CaptureBlocks: position-indexed, so identical at any worker
+// count) and unpacks the response set from the blocks in pattern order.
+func simulate(ctx context.Context, ckt *netlist.Circuit, geom scan.Geometry, st atpg.Stimuli, workers int) ([]*sim.Block, *scan.ResponseSet, error) {
+	blocks, err := sim.CaptureBlocks(ctx, ckt, st.Loads, st.PIs, workers)
+	if err != nil {
+		return nil, nil, err
 	}
 	set := scan.NewResponseSet(geom)
-	for _, caps := range blockCaps {
-		for _, cap := range caps {
+	set.Responses = make([]scan.Response, 0, len(st.Loads))
+	for _, blk := range blocks {
+		for _, cap := range blk.Captures() {
 			if err := set.Append(scan.Response{Geom: geom, Values: cap}); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 	}
-	return set, nil
+	return blocks, set, nil
 }
 
 // measureCoverage runs one PPSFP pass over the collapsed fault list and
@@ -524,13 +501,14 @@ func simulateParallel(ctx context.Context, ckt *netlist.Circuit, geom scan.Geome
 // coverages must be equal — that equality is the paper's coverage claim,
 // measured on the construction-grade input. Collapsing first means the
 // sample budget is spent on structurally distinct faults, not
-// buffer/inverter-chain equivalents.
-func measureCoverage(ctx context.Context, ckt *netlist.Circuit, st atpg.Stimuli, prog *Program, spec Spec, cfg RunConfig) (*Coverage, error) {
-	all := fault.AllFaults(ckt)
-	classes := fault.Collapse(ckt, all)
-	faults := fault.Representatives(classes)
+// buffer/inverter-chain equivalents. blocks is the simulate stage's
+// fault-free machine; the faulty machines are evaluated cone by cone
+// against it.
+func measureCoverage(ctx context.Context, ckt *netlist.Circuit, blocks []*sim.Block, prog *Program, spec Spec, cfg RunConfig) (*Coverage, error) {
+	reps, all := fault.CollapsedFaults(ckt)
+	faults := reps
 	if !spec.FaultFull {
-		faults = fault.Sample(faults, spec.FaultSample, spec.FaultSeed)
+		faults = fault.Sample(reps, spec.FaultSample, spec.FaultSeed)
 	}
 	partOf := make([]int, len(prog.PatternOrder))
 	for i, part := range prog.Partitions {
@@ -551,14 +529,14 @@ func measureCoverage(ctx context.Context, ckt *netlist.Circuit, st atpg.Stimuli,
 			cfg.OnStage(fmt.Sprintf("faultsim %d/%d", done, total))
 		}
 	}
-	res, err := fault.SimulatePPSFP(ctx, ckt, st.Loads, st.PIs, faults, []fault.Observe{nil, observe}, opt)
+	res, err := fault.SimulatePPSFP(ctx, ckt, blocks, faults, []fault.Observe{nil, observe}, opt)
 	if err != nil {
 		return nil, err
 	}
 	baseline, hybrid := res[0], res[1]
 	return &Coverage{
-		AllFaults:        len(all),
-		Classes:          len(classes),
+		AllFaults:        all,
+		Classes:          len(reps),
 		Faults:           baseline.Total,
 		BaselineDetected: baseline.Detected,
 		HybridDetected:   hybrid.Detected,

@@ -188,6 +188,49 @@ func TestCoverageGoldenAcrossFaultWorkers(t *testing.T) {
 	}
 }
 
+// TestCoverageGolden pins the faultsim stage's values, not just their
+// agreement across worker counts: the X-map digest and the Coverage counts
+// of a sampled and an exhaustive spec at fault workers 1 and 4, so a change
+// to how the good machine is shared or the sample is drawn cannot move
+// them unnoticed.
+func TestCoverageGolden(t *testing.T) {
+	cases := []struct {
+		name   string
+		spec   Spec
+		digest string
+		want   [5]int // AllFaults, Classes, Faults, BaselineDetected, HybridDetected
+	}{
+		{"mid-sample", Spec{Cells: 4096, Chains: 64, XClusters: 96, Patterns: 256, CircuitSeed: 1, StimSeed: 1,
+			FaultSample: 100, FaultSeed: 1},
+			"3e419a488eac0fa672b8a8f57739953d148b141f48b2b63bc837778da98e1796",
+			[5]int{25884, 25390, 100, 76, 76}},
+		{"1k-full", Spec{Cells: 1024, Chains: 32, XClusters: 24, Patterns: 128, MISRSize: 16, CircuitSeed: 1, StimSeed: 1,
+			FaultFull: true},
+			"5285337962b6b867da5cad0bf9aaecf6c9f48a30397ac4a7543eb1430be48ebe",
+			[5]int{6476, 6348, 6348, 4694, 4694}},
+	}
+	for _, tc := range cases {
+		for _, w := range []int{1, 4} {
+			spec := tc.spec
+			spec.FaultWorkers = w
+			rep, err := RunSpec(context.Background(), spec, RunConfig{})
+			if err != nil {
+				t.Fatalf("%s fault workers=%d: %v", tc.name, w, err)
+			}
+			if rep.XMapDigest != tc.digest {
+				t.Errorf("%s fault workers=%d: digest %s, want %s", tc.name, w, rep.XMapDigest, tc.digest)
+			}
+			c := rep.Coverage
+			if c == nil {
+				t.Fatalf("%s: no coverage leg", tc.name)
+			}
+			if got := [5]int{c.AllFaults, c.Classes, c.Faults, c.BaselineDetected, c.HybridDetected}; got != tc.want {
+				t.Errorf("%s fault workers=%d: coverage %v, want %v", tc.name, w, got, tc.want)
+			}
+		}
+	}
+}
+
 // TestRunSpecFaultFull runs the exhaustive coverage check: every collapsed
 // fault class simulated, FaultSample ignored.
 func TestRunSpecFaultFull(t *testing.T) {
@@ -225,7 +268,7 @@ func TestXMapMatchesSerialSim(t *testing.T) {
 	}
 	geom := scan.MustGeometry(spec.Chains, spec.Cells/spec.Chains)
 	st := atpg.GenerateStimuli(spec.Patterns, len(ckt.ScanCells), len(ckt.PIs), spec.StimSeed)
-	set, err := simulateParallel(context.Background(), ckt, geom, st, 4)
+	_, set, err := simulate(context.Background(), ckt, geom, st, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

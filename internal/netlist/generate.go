@@ -59,35 +59,40 @@ func Generate(cfg GenConfig) (*Circuit, error) {
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
 	b := NewBuilder(cfg.Name)
+	nGates := int(float64(cfg.ScanCells) * cfg.GatesPerCell)
+	// Size the node list for the sources, the cloud and each cluster's
+	// source, select taps, mux and per-cell XOR/OR pair, so it is allocated
+	// once.
+	perCluster := 2 + 2*cfg.EnableTaps + 2*cfg.XFanout
+	b.c.Gates = make([]Gate, 0, cfg.PIs+cfg.ScanCells+nGates+cfg.XClusters*perCluster)
+	b.c.ScanCells = make([]int, 0, cfg.ScanCells)
 
 	// Sources: primary inputs and scan-flop outputs.
-	sources := make([]int, 0, cfg.PIs+cfg.ScanCells)
+	nodes := make([]int, 0, cfg.PIs+cfg.ScanCells+nGates)
 	for i := 0; i < cfg.PIs; i++ {
-		sources = append(sources, b.Input(fmt.Sprintf("pi%d", i)))
+		nodes = append(nodes, b.Input(fmt.Sprintf("pi%d", i)))
 	}
 	flops := make([]int, cfg.ScanCells)
 	for i := range flops {
 		flops[i] = b.ScanDFFDeferred()
-		sources = append(sources, flops[i])
+		nodes = append(nodes, flops[i])
 	}
 
 	// Combinational cloud over the sources.
-	nodes := append([]int{}, sources...)
 	combTypes := []GateType{And, Or, Nand, Nor, Xor, Xnor, Not, Buf}
-	nGates := int(float64(cfg.ScanCells) * cfg.GatesPerCell)
 	for i := 0; i < nGates; i++ {
 		t := combTypes[r.Intn(len(combTypes))]
-		var fanin []int
 		n := 2
 		if t == Not || t == Buf {
 			n = 1
 		} else if r.Intn(4) == 0 {
 			n = 3
 		}
-		for j := 0; j < n; j++ {
+		fanin := make([]int, n)
+		for j := range fanin {
 			// Bias toward recent nodes to grow depth.
 			k := len(nodes) - 1 - r.Intn(1+len(nodes)/2)
-			fanin = append(fanin, nodes[k])
+			fanin[j] = nodes[k]
 		}
 		nodes = append(nodes, b.Gate(t, fanin...))
 	}

@@ -50,3 +50,32 @@ func BenchmarkParallelCapture512x64(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkParallelCapture4096x64 is the CI-gated pack/unpack benchmark: one
+// 64-pattern Capture on the flow-mid circuit shape (4,096 scan cells, 8
+// PIs, 96 X clusters), where packing the loads and unpacking the captures
+// cost more than evaluating the gates. The bench-regress CI job fails a >20%
+// median regression against the merge base.
+func BenchmarkParallelCapture4096x64(b *testing.B) {
+	c, err := netlist.Generate(netlist.GenConfig{
+		Name: "bench", ScanCells: 4096, PIs: 8, XClusters: 96, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(3))
+	loads := make([]logic.Vector, 64)
+	pis := make([]logic.Vector, 64)
+	for k := range loads {
+		loads[k] = randomVec(r, len(c.ScanCells), 0)
+		pis[k] = randomVec(r, len(c.PIs), 0)
+	}
+	s := NewParallel(c)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Capture(loads, pis); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

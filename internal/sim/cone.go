@@ -15,44 +15,8 @@ package sim
 import (
 	"sort"
 
-	"xhybrid/internal/logic"
 	"xhybrid/internal/netlist"
 )
-
-// Block is the retained word-level state of one evaluated batch of up to 64
-// patterns: every node's 64-way pval word, immutable once built. It is the
-// good-machine side of the PPSFP kernel — cone evaluations read their
-// frontier fanins from it.
-type Block struct {
-	n     int
-	lanes uint64 // mask of valid lanes: bits [0, n)
-	vals  []pval
-}
-
-// Patterns returns the number of patterns the block evaluated.
-func (b *Block) Patterns() int { return b.n }
-
-// CaptureBlock is Capture, but instead of unpacking the scan captures it
-// retains the whole evaluated word state as an immutable Block for later
-// cone evaluations. The simulator's scratch is copied, so the block stays
-// valid across further Capture calls on the same PSim.
-func (s *PSim) CaptureBlock(loads, pis []logic.Vector) (*Block, error) {
-	if err := s.eval(loads, pis, NoFault); err != nil {
-		return nil, err
-	}
-	n := len(loads)
-	b := &Block{n: n, lanes: laneMask(n), vals: make([]pval, len(s.vals))}
-	copy(b.vals, s.vals)
-	return b, nil
-}
-
-// laneMask returns the mask of valid lanes for an n-pattern batch.
-func laneMask(n int) uint64 {
-	if n >= 64 {
-		return ^uint64(0)
-	}
-	return 1<<uint(n) - 1
-}
 
 // ConeIndex is the immutable circuit-wide adjacency the cone kernel needs:
 // combinational fanout (CSR-compacted), the scan cells observing each node,
@@ -222,7 +186,7 @@ func (cs *ConeSim) FaultDiff(b *Block, fault Fault, gates, obsCells []int32, vis
 	evals := 0
 	for _, id32 := range gates {
 		id := int(id32)
-		g := ix.c.Gates[id]
+		g := &ix.c.Gates[id]
 		for _, f := range g.Fanin {
 			if cs.stamp[f] != cs.gen {
 				cs.faulty[f] = b.vals[f]

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"xhybrid/internal/logic"
 	"xhybrid/internal/netlist"
+	"xhybrid/internal/pool"
 )
 
 // pval is a 64-way parallel three-valued word: bit k of one is set when
@@ -61,57 +63,121 @@ func fromV(v logic.V) pval {
 	return pval{}
 }
 
-// PSim is the 64-way parallel-pattern simulator: one Capture call evaluates
-// up to 64 patterns simultaneously, one per bit lane.
+// PSim is the 64-way parallel-pattern simulator of the fault-free machine:
+// one call evaluates up to 64 patterns simultaneously, one per bit lane.
+// Faulty machines are evaluated cone by cone against its Blocks (ConeSim).
 type PSim struct {
-	c    *netlist.Circuit
+	c *netlist.Circuit
+	// vals holds every node's word after an evaluation; nil after
+	// CaptureBlock hands it to a Block, until the next evaluation.
 	vals []pval
 }
 
 // NewParallel returns a parallel simulator for the circuit.
 func NewParallel(c *netlist.Circuit) *PSim {
-	return &PSim{c: c, vals: make([]pval, c.NumGates())}
+	return &PSim{c: c}
 }
 
 // Capture evaluates len(loads) patterns (at most 64) in one pass and
 // returns their captured scan responses. loads[k] and pis[k] are pattern
 // k's scan load and primary-input values.
 func (s *PSim) Capture(loads, pis []logic.Vector) ([]logic.Vector, error) {
-	return s.CaptureWithFault(loads, pis, NoFault)
-}
-
-// CaptureWithFault is Capture with a stuck-at fault forced on one node
-// across every lane.
-func (s *PSim) CaptureWithFault(loads, pis []logic.Vector, fault Fault) ([]logic.Vector, error) {
-	if err := s.eval(loads, pis, fault); err != nil {
+	if err := s.eval(loads, pis); err != nil {
 		return nil, err
 	}
-	c := s.c
-	n := len(loads)
-	out := make([]logic.Vector, n)
-	for k := range out {
-		out[k] = make(logic.Vector, len(c.ScanCells))
+	return unpack(s.c, s.vals, len(loads)), nil
+}
+
+// Block is the retained word-level state of one evaluated batch of up to 64
+// patterns: every node's 64-way pval word, immutable once built. The
+// simulate stage unpacks its captures, and the PPSFP kernel reads the cone
+// frontier's fault-free words from it.
+type Block struct {
+	c     *netlist.Circuit
+	n     int
+	lanes uint64 // mask of valid lanes: bits [0, n)
+	vals  []pval
+}
+
+// Patterns returns the number of patterns the block evaluated.
+func (b *Block) Patterns() int { return b.n }
+
+// Circuit returns the circuit the block was evaluated on.
+func (b *Block) Circuit() *netlist.Circuit { return b.c }
+
+// Captures unpacks the block's scan captures: row k is pattern k's captured
+// response, exactly what Capture returns for the same batch. The rows are
+// cut from one allocation.
+func (b *Block) Captures() []logic.Vector { return unpack(b.c, b.vals, b.n) }
+
+// CaptureBlock is Capture, but instead of unpacking the scan captures it
+// retains the whole evaluated word state as an immutable Block. The block
+// takes the simulator's words, so it stays valid across further calls on
+// the same PSim.
+func (s *PSim) CaptureBlock(loads, pis []logic.Vector) (*Block, error) {
+	if err := s.eval(loads, pis); err != nil {
+		return nil, err
 	}
-	for i, id := range c.ScanCells {
-		v := s.vals[c.Gates[id].Fanin[0]]
-		for k := 0; k < n; k++ {
-			bit := uint(k)
-			switch {
-			case v.x>>bit&1 == 1:
-				out[k][i] = logic.X
-			case v.one>>bit&1 == 1:
-				out[k][i] = logic.One
-			default:
-				out[k][i] = logic.Zero
+	n := len(loads)
+	b := &Block{c: s.c, n: n, lanes: laneMask(n), vals: s.vals}
+	s.vals = nil
+	return b, nil
+}
+
+// CaptureBlocks evaluates the fault-free machine over every pattern and
+// returns one Block per 64 patterns: block b holds patterns [64b, 64b+64).
+// Blocks are fanned over a pool of workers (0 = all CPUs); each chunk owns
+// a private PSim and fills position-indexed slots, so the blocks are
+// identical for any worker count. Canceling ctx stops between blocks with
+// the context's error.
+func CaptureBlocks(ctx context.Context, c *netlist.Circuit, loads, pis []logic.Vector, workers int) ([]*Block, error) {
+	if len(loads) != len(pis) {
+		return nil, fmt.Errorf("sim: %d loads but %d pi vectors", len(loads), len(pis))
+	}
+	blocks := make([]*Block, (len(loads)+63)/64)
+	p := pool.New(workers)
+	defer p.Close()
+	errs := make([]error, p.Workers())
+	p.Chunks(len(blocks), func(ci, lo, hi int) {
+		ps := NewParallel(c)
+		for b := lo; b < hi; b++ {
+			if err := ctx.Err(); err != nil {
+				errs[ci] = err
+				return
 			}
+			base, top := b*64, min(b*64+64, len(loads))
+			blk, err := ps.CaptureBlock(loads[base:top], pis[base:top])
+			if err != nil {
+				errs[ci] = err
+				return
+			}
+			blocks[b] = blk
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-	return out, nil
+	return blocks, nil
 }
+
+// laneMask returns the mask of valid lanes for an n-pattern batch.
+func laneMask(n int) uint64 {
+	if n >= 64 {
+		return ^uint64(0)
+	}
+	return 1<<uint(n) - 1
+}
+
+// tileLen is how many scan cells or inputs pack and unpack handle at a
+// time: a tile's words (4 KiB) stay in L1 while every pattern's slice of
+// it is walked.
+const tileLen = 256
 
 // eval runs the full 64-way evaluation for the batch, leaving every node's
 // word in s.vals.
-func (s *PSim) eval(loads, pis []logic.Vector, fault Fault) error {
+func (s *PSim) eval(loads, pis []logic.Vector) error {
 	c := s.c
 	n := len(loads)
 	if n == 0 || n > 64 {
@@ -128,52 +194,85 @@ func (s *PSim) eval(loads, pis []logic.Vector, fault Fault) error {
 			return fmt.Errorf("sim: pi %d width %d, want %d", k, len(pis[k]), len(c.PIs))
 		}
 	}
-	pack := func(get func(k int) logic.V) pval {
-		var v pval
-		for k := 0; k < n; k++ {
-			switch get(k) {
-			case logic.One:
-				v.one |= 1 << uint(k)
-			case logic.X:
-				v.x |= 1 << uint(k)
-			}
-		}
-		return v
+	if s.vals == nil {
+		s.vals = make([]pval, c.NumGates())
 	}
-	force := func(id int, v pval) pval {
-		if fault.Node == id {
-			return fromV(fault.StuckAt)
-		}
-		return v
-	}
-	for i, id := range c.PIs {
-		i := i
-		s.vals[id] = force(id, pack(func(k int) logic.V { return pis[k][i] }))
-	}
-	for i, id := range c.ScanCells {
-		i := i
-		s.vals[id] = force(id, pack(func(k int) logic.V { return loads[k][i] }))
-	}
+	s.pack(c.PIs, pis)
+	s.pack(c.ScanCells, loads)
 	for _, id := range c.NonScan {
-		s.vals[id] = force(id, fromV(logic.X))
+		s.vals[id] = fromV(logic.X)
 	}
-	for id, g := range c.Gates {
-		switch g.Type {
+	for id := range c.Gates {
+		switch c.Gates[id].Type {
 		case netlist.Tie0:
-			s.vals[id] = force(id, fromV(logic.Zero))
+			s.vals[id] = fromV(logic.Zero)
 		case netlist.Tie1:
-			s.vals[id] = force(id, fromV(logic.One))
+			s.vals[id] = fromV(logic.One)
 		case netlist.TieX:
-			s.vals[id] = force(id, fromV(logic.X))
+			s.vals[id] = fromV(logic.X)
 		}
 	}
 	for _, id := range c.EvalOrder() {
-		s.vals[id] = force(id, evalGateP(c.Gates[id], s.vals))
+		s.vals[id] = evalGateP(&c.Gates[id], s.vals)
 	}
 	return nil
 }
 
-func evalGateP(g netlist.Gate, vals []pval) pval {
+// pack sets node ids[i]'s word from vecs[k][i] for every pattern k: lane k
+// gets a one bit only for One and an X bit only for X. It walks each
+// pattern's vector in order, one tile of positions at a time.
+func (s *PSim) pack(ids []int, vecs []logic.Vector) {
+	var tile [tileLen]pval
+	for lo := 0; lo < len(ids); lo += tileLen {
+		w := tile[:min(tileLen, len(ids)-lo)]
+		clear(w)
+		for k, vec := range vecs {
+			sh := uint(k) & 63 // k < 64; the mask drops the compiler's wide-shift check
+			vec = vec[lo : lo+len(w)]
+			for i := range w {
+				e := vec[i]
+				w[i].one |= is(e, logic.One) << sh
+				w[i].x |= is(e, logic.X) << sh
+			}
+		}
+		for i, v := range w {
+			s.vals[ids[lo+i]] = v
+		}
+	}
+}
+
+// is returns 1 when e == v and 0 otherwise, without a branch.
+func is(e, v logic.V) uint64 { return (uint64(e^v) - 1) >> 63 }
+
+// unpack returns the n patterns' captures from the evaluated words: it
+// gathers each scan cell's capture word once, then writes every pattern's
+// row a tile at a time. one and x are disjoint, so one|x<<1 is the value's
+// encoding (Zero 0, One 1, X 2).
+func unpack(c *netlist.Circuit, vals []pval, n int) []logic.Vector {
+	cells := len(c.ScanCells)
+	slab := make(logic.Vector, n*cells)
+	out := make([]logic.Vector, n)
+	for k := range out {
+		out[k] = slab[k*cells : (k+1)*cells : (k+1)*cells]
+	}
+	var tile [tileLen]pval
+	for lo := 0; lo < cells; lo += tileLen {
+		w := tile[:min(tileLen, cells-lo)]
+		for i := range w {
+			w[i] = vals[c.Gates[c.ScanCells[lo+i]].Fanin[0]]
+		}
+		for k, row := range out {
+			sh := uint(k) & 63 // as in pack
+			row = row[lo : lo+len(w)]
+			for i := range w {
+				row[i] = logic.V(w[i].one>>sh&1 | (w[i].x>>sh&1)<<1)
+			}
+		}
+	}
+	return out
+}
+
+func evalGateP(g *netlist.Gate, vals []pval) pval {
 	switch g.Type {
 	case netlist.And, netlist.Nand:
 		out := fromV(logic.One)

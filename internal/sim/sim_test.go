@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -192,13 +193,19 @@ func randomVec(r *rand.Rand, n int, xProb float64) logic.Vector {
 }
 
 // The parallel-pattern simulator must agree with the scalar simulator on
-// every pattern, including X handling, for random generated circuits.
+// every pattern, including X handling, for random generated circuits of up
+// to ~600 scan cells, so the 256-cell pack and unpack tiles repeat and end
+// part-full. One PSim runs three consecutive batches — 64 patterns, then
+// 1..63, both with X-dense loads, then 64 with sparse X's — so an X lane
+// left over from an earlier batch or tile would show. Each batch goes
+// through CaptureBlock and then Capture: the block's unpacked captures,
+// Capture's and the scalar simulator's must all be equal.
 func TestParallelMatchesScalar(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		c, err := netlist.Generate(netlist.GenConfig{
 			Name:      "rnd",
-			ScanCells: 8 + r.Intn(40),
+			ScanCells: 8 + r.Intn(600),
 			PIs:       1 + r.Intn(8),
 			XClusters: r.Intn(4),
 			Seed:      seed,
@@ -206,26 +213,38 @@ func TestParallelMatchesScalar(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		n := 1 + r.Intn(64)
-		loads := make([]logic.Vector, n)
-		pis := make([]logic.Vector, n)
-		for k := 0; k < n; k++ {
-			loads[k] = randomVec(r, len(c.ScanCells), 0.02)
-			pis[k] = randomVec(r, len(c.PIs), 0.02)
-		}
 		ps := NewParallel(c)
-		batch, err := ps.Capture(loads, pis)
-		if err != nil {
-			return false
-		}
 		ss := New(c)
-		for k := 0; k < n; k++ {
-			cap, _, err := ss.Capture(loads[k], pis[k], NoFault)
-			if err != nil {
+		for _, batch := range []struct {
+			n     int
+			xProb float64
+		}{{64, 0.3}, {1 + r.Intn(63), 0.3}, {64, 0.02}} {
+			n := batch.n
+			loads := make([]logic.Vector, n)
+			pis := make([]logic.Vector, n)
+			for k := 0; k < n; k++ {
+				loads[k] = randomVec(r, len(c.ScanCells), batch.xProb)
+				pis[k] = randomVec(r, len(c.PIs), batch.xProb)
+			}
+			blk, err := ps.CaptureBlock(loads, pis)
+			if err != nil || blk.Patterns() != n {
 				return false
 			}
-			if !cap.Equal(batch[k]) {
+			unpacked := blk.Captures()
+			captured, err := ps.Capture(loads, pis)
+			if err != nil || len(captured) != n || len(unpacked) != n {
 				return false
+			}
+			for k := 0; k < n; k++ {
+				cap, _, err := ss.Capture(loads[k], pis[k], NoFault)
+				if err != nil {
+					return false
+				}
+				if !cap.Equal(captured[k]) || !cap.Equal(unpacked[k]) {
+					t.Logf("seed %d, batch of %d, pattern %d: scalar %v, Capture %v, block %v",
+						seed, n, k, cap, captured[k], unpacked[k])
+					return false
+				}
 			}
 		}
 		return true
@@ -252,6 +271,14 @@ func TestParallelValidation(t *testing.T) {
 	}
 	if _, err := ps.Capture(loads[:2], pis[:3]); err == nil {
 		t.Fatal("accepted mismatched batch sizes")
+	}
+	if _, err := CaptureBlocks(context.Background(), c, loads[:2], pis[:3], 1); err == nil {
+		t.Fatal("CaptureBlocks accepted mismatched stimuli")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := CaptureBlocks(ctx, c, loads, pis, 1); err == nil {
+		t.Fatal("CaptureBlocks ignored a canceled context")
 	}
 }
 

@@ -247,18 +247,6 @@ func (m *XMap) Density() float64 {
 	return float64(m.TotalX()) / float64(total)
 }
 
-// Clone returns a deep copy (in sorted order, whatever the source's state).
-func (m *XMap) Clone() *XMap {
-	m.ensureSorted()
-	c := New(m.numPatterns, m.numCells)
-	c.cells = make([]CellX, len(m.cells))
-	for i, ce := range m.cells {
-		c.cells[i] = CellX{Cell: ce.Cell, Patterns: ce.Patterns.Clone()}
-		c.slot[ce.Cell] = i
-	}
-	return c
-}
-
 // CountIn returns the number of patterns in the partition bitset under which
 // cell captures an X. Returns 0 for cells that never capture X.
 func (m *XMap) CountIn(cell int, partition gf2.Vec) int {
