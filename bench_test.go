@@ -11,6 +11,7 @@ package xhybrid
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -531,6 +532,30 @@ func BenchmarkReadXLocationsBinary(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ReadXLocationsBinary(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWriteBinary measures the binary encoder on the full CKT-B map,
+// writing into sha256 as the serving layer's cache key and the flow's map
+// digest do; gated against regression by CI.
+func BenchmarkWriteBinary(b *testing.B) {
+	x, err := Workload("ckt-b", 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := x.WriteBinary(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	h := sha256.New()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Reset()
+		if err := x.WriteBinary(h); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,6 @@
 package xhybrid
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -33,6 +32,11 @@ import (
 // can only mean a duplicate (or out-of-order) record — the decoder rejects
 // it, mirroring ReadXLocations' refusal to silently merge duplicates. No
 // trailing bytes are permitted after the last record.
+//
+// Both directions work on byte slices rather than a byte at a time: the
+// decoder reads varints out of a window it refills from its reader, and the
+// encoder appends them into one buffer it flushes to its writer. The
+// format and the canonical bytes are the same either way.
 const (
 	binMagic   = xmap.BinMagic
 	binVersion = xmap.BinVersion
@@ -46,54 +50,55 @@ const binMaxValue = math.MaxInt32
 // WriteBinary serializes the X locations in the compact binary wire format.
 // The encoding is canonical: equal maps produce byte-identical output
 // regardless of build order, which is what lets the serving layer use it as
-// a cache key. The encoder itself lives in internal/xmap (xmap.WriteBinary)
-// so the circuit flow can digest extracted maps without importing this
+// a cache key. The encoder itself lives in internal/xmap (xmap.WriteBinary,
+// which appends the varints into one fixed buffer and flushes it to w) so
+// the circuit flow can digest extracted maps without importing this
 // package.
 func (x *XLocations) WriteBinary(w io.Writer) error {
 	return xmap.WriteBinary(w, x.m, x.geom.Chains, x.geom.ChainLen)
 }
 
-// ReadXLocationsBinary parses the binary wire format, streaming: each
-// record's gap-coded pattern list is decoded straight into that cell's
-// bitset and installed in one step, so decode cost is proportional to the
-// X count with no per-pattern map probes and no intermediate index slices.
-// Truncation, varint overflow, out-of-range dimensions and duplicate (or
-// out-of-order) records are all rejected.
+// ReadXLocationsBinary parses the binary wire format, streaming: it decodes
+// uvarints from a fixed window (binWindow bytes) that it refills from r
+// whenever fewer than binary.MaxVarintLen64 bytes remain, so a one-byte
+// varint — most of them — costs a compare and an index, and only the
+// multi-byte ones go through binary.Uvarint. Each record's gap-coded
+// pattern list is set straight into the words of that cell's fresh bitset,
+// which is installed in one step, so decode cost is proportional to the X
+// count with no per-byte reader call, no per-pattern map probe and no
+// intermediate index slice. Memory grows with the records actually read,
+// never with the cell count the header declares. Truncation (matching
+// io.ErrUnexpectedEOF), varint overflow, out-of-range dimensions,
+// duplicate (or out-of-order) records and trailing bytes are all rejected,
+// and an error from r comes back wrapped. The decoder reads r to EOF even
+// after the last record, so a gzip reader underneath gets to verify its
+// checksum trailer.
 func ReadXLocationsBinary(r io.Reader) (*XLocations, error) {
-	br := bufio.NewReader(r)
-	var head [len(binMagic) + 1]byte
-	if _, err := io.ReadFull(br, head[:]); err != nil {
-		return nil, fmt.Errorf("xhybrid: binary header: %w", binEOF(err))
+	d := &binReader{r: r}
+	d.fill()
+	if d.end < len(binMagic)+1 {
+		return nil, fmt.Errorf("xhybrid: binary header: %w", binEOF(d.err))
 	}
-	if string(head[:len(binMagic)]) != binMagic {
-		return nil, fmt.Errorf("xhybrid: not a binary X-location stream (bad magic %q)", head[:len(binMagic)])
+	if magic := d.buf[:len(binMagic)]; string(magic) != binMagic {
+		return nil, fmt.Errorf("xhybrid: not a binary X-location stream (bad magic %q)", magic)
 	}
-	if head[len(binMagic)] != binVersion {
-		return nil, fmt.Errorf("xhybrid: unsupported binary version %d (want %d)", head[len(binMagic)], binVersion)
+	if v := d.buf[len(binMagic)]; v != binVersion {
+		return nil, fmt.Errorf("xhybrid: unsupported binary version %d (want %d)", v, binVersion)
 	}
-	readUv := func(what string) (int, error) {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return 0, fmt.Errorf("xhybrid: binary %s: %w", what, binEOF(err))
-		}
-		if v > binMaxValue {
-			return 0, fmt.Errorf("xhybrid: binary %s %d exceeds limit %d", what, v, binMaxValue)
-		}
-		return int(v), nil
-	}
-	chains, err := readUv("chains")
+	d.pos = len(binMagic) + 1
+	chains, err := d.field("chains")
 	if err != nil {
 		return nil, err
 	}
-	chainLen, err := readUv("chainLen")
+	chainLen, err := d.field("chainLen")
 	if err != nil {
 		return nil, err
 	}
-	patterns, err := readUv("patterns")
+	patterns, err := d.field("patterns")
 	if err != nil {
 		return nil, err
 	}
-	numCells, err := readUv("cell count")
+	numCells, err := d.field("cell count")
 	if err != nil {
 		return nil, err
 	}
@@ -104,58 +109,156 @@ func ReadXLocationsBinary(r io.Reader) (*XLocations, error) {
 	if numCells > x.Cells() {
 		return nil, fmt.Errorf("xhybrid: binary declares %d X cells for %d-cell design", numCells, x.Cells())
 	}
-	prevCell := -1
+	cell := 0
 	for i := 0; i < numCells; i++ {
-		gap, err := readUv("cell gap")
+		gap, err := d.field("cell gap")
 		if err != nil {
 			return nil, err
 		}
-		cell := gap
-		if prevCell >= 0 {
-			if gap == 0 {
-				return nil, fmt.Errorf("xhybrid: duplicate record for cell %d", prevCell)
-			}
-			cell = prevCell + gap
+		if i > 0 && gap == 0 {
+			return nil, fmt.Errorf("xhybrid: duplicate record for cell %d", cell)
 		}
+		cell += gap
 		if cell >= x.Cells() {
 			return nil, fmt.Errorf("xhybrid: cell %d out of range [0,%d)", cell, x.Cells())
 		}
-		count, err := readUv("pattern count")
+		count, err := d.field("pattern count")
 		if err != nil {
 			return nil, err
 		}
 		if count < 1 || count > patterns {
 			return nil, fmt.Errorf("xhybrid: cell %d: pattern count %d out of range [1,%d]", cell, count, patterns)
 		}
+		// The bitset is fresh and unshared until SetCellPatterns takes it,
+		// so its words are written directly; p < patterns keeps the bits
+		// past its length zero. The window position lives in pos while the
+		// loop runs, so it stays in a register.
 		v := gf2.NewVec(patterns)
-		prevP := -1
+		words := v.Words()
+		p, pos := 0, d.pos
 		for j := 0; j < count; j++ {
-			gap, err := readUv("pattern gap")
-			if err != nil {
-				return nil, err
-			}
-			p := gap
-			if prevP >= 0 {
-				if gap == 0 {
-					return nil, fmt.Errorf("xhybrid: cell %d: duplicate pattern %d", cell, prevP)
+			// The one-byte fast path, inlined by hand: uvarint is too large
+			// for the compiler to inline.
+			var gap uint64
+			if d.end-pos >= binary.MaxVarintLen64 && d.buf[pos] < 0x80 {
+				gap = uint64(d.buf[pos])
+				pos++
+			} else {
+				d.pos = pos
+				if gap, err = d.uvarint(); err != nil || gap > binMaxValue {
+					return nil, binField("pattern gap", gap, err)
 				}
-				p = prevP + gap
+				pos = d.pos
 			}
+			if j > 0 && gap == 0 {
+				return nil, fmt.Errorf("xhybrid: cell %d: duplicate pattern %d", cell, p)
+			}
+			p += int(gap)
 			if p >= patterns {
 				return nil, fmt.Errorf("xhybrid: cell %d: pattern %d out of range [0,%d)", cell, p, patterns)
 			}
-			v.Set(p)
-			prevP = p
+			words[uint(p)/64] |= 1 << (uint(p) % 64)
 		}
+		d.pos = pos
 		x.m.SetCellPatterns(cell, v)
-		prevCell = cell
 	}
-	if _, err := br.ReadByte(); err == nil {
+	if d.pos == d.end {
+		d.fill()
+	}
+	if d.pos < d.end {
 		return nil, errors.New("xhybrid: trailing data after binary X-location stream")
-	} else if err != io.EOF {
-		return nil, err
+	}
+	if d.err != io.EOF {
+		return nil, d.err
 	}
 	return x, nil
+}
+
+// binWindow is the size of the decoder's read window. Any size well above
+// binary.MaxVarintLen64 decodes the same stream; this one matches bufio's
+// default, so a window refill is one Read call per 4 KiB of input.
+const binWindow = 4096
+
+// maxEmptyReads bounds the consecutive (0, nil) reads fill tolerates before
+// it gives up with io.ErrNoProgress, as bufio.Reader does.
+const maxEmptyReads = 100
+
+// errVarintOverflow is the error binary.ReadUvarint reports for a varint
+// wider than 64 bits; the decoder keeps its wording.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// binReader is the binary decoder's input: a window over r holding the
+// unread bytes buf[pos:end], and the first error r returned (io.EOF at a
+// clean end), which is reported only once the window runs dry.
+type binReader struct {
+	r        io.Reader
+	err      error
+	pos, end int
+	buf      [binWindow]byte
+}
+
+// fill moves the unread bytes to the front of the window and reads until
+// it holds at least binary.MaxVarintLen64 bytes — a whole varint, however
+// the reader splits its input — or r has returned an error. It never
+// reads past an error.
+func (d *binReader) fill() {
+	d.end = copy(d.buf[:], d.buf[d.pos:d.end])
+	d.pos = 0
+	for empty := 0; d.end < binary.MaxVarintLen64 && d.err == nil; {
+		n, err := d.r.Read(d.buf[d.end:])
+		d.end += n
+		switch {
+		case err != nil:
+			d.err = err
+		case n > 0:
+			empty = 0
+		default:
+			if empty++; empty == maxEmptyReads {
+				d.err = io.ErrNoProgress
+			}
+		}
+	}
+}
+
+// uvarint decodes the next uvarint, refilling the window first when fewer
+// than binary.MaxVarintLen64 bytes remain. Its errors match
+// binary.ReadUvarint's: ten continuation bytes (for which binary.Uvarint
+// answers "need more" when the window holds exactly ten) or a tenth byte
+// above 1 overflow, and a window that runs dry mid-varint reports the
+// reader's error, io.EOF included (binEOF makes it io.ErrUnexpectedEOF).
+func (d *binReader) uvarint() (uint64, error) {
+	if d.end-d.pos < binary.MaxVarintLen64 {
+		d.fill()
+	}
+	v, n := binary.Uvarint(d.buf[d.pos:d.end])
+	switch {
+	case n > 0:
+		d.pos += n
+		return v, nil
+	case n < 0 || d.end-d.pos >= binary.MaxVarintLen64:
+		return 0, errVarintOverflow
+	default:
+		return 0, d.err
+	}
+}
+
+// field decodes one uvarint field bounded by binMaxValue, naming it in any
+// error.
+func (d *binReader) field(what string) (int, error) {
+	v, err := d.uvarint()
+	if err != nil || v > binMaxValue {
+		return 0, binField(what, v, err)
+	}
+	return int(v), nil
+}
+
+// binField builds the error for a field that failed to decode (err) or
+// decoded to v > binMaxValue. Only the failure path formats anything.
+func binField(what string, v uint64, err error) error {
+	if err != nil {
+		return fmt.Errorf("xhybrid: binary %s: %w", what, binEOF(err))
+	}
+	return fmt.Errorf("xhybrid: binary %s %d exceeds limit %d", what, v, binMaxValue)
 }
 
 // binEOF turns a mid-stream io.EOF into io.ErrUnexpectedEOF: once the magic

@@ -2,12 +2,16 @@ package xhybrid
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
+	"testing/iotest"
 )
 
 // binStream assembles a binary X-location stream by hand for the error
@@ -185,5 +189,153 @@ func TestReadXLocationsBinaryErrors(t *testing.T) {
 	}
 	if _, err := ReadXLocationsBinary(bytes.NewReader(nil)); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncation error %v does not match io.ErrUnexpectedEOF", err)
+	}
+}
+
+// cktb returns the full CKT-B workload map (seed 0) and its XMAPB encoding,
+// built once: about 2.9 MB, so it spans hundreds of decoder windows and
+// encoder buffer flushes.
+var cktb = sync.OnceValues(func() (*XLocations, error) {
+	return Workload("ckt-b", 0)
+})
+
+func cktbEncoding(t *testing.T) (*XLocations, []byte) {
+	t.Helper()
+	x, err := cktb()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := x.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return x, buf.Bytes()
+}
+
+// The encoder's bytes are pinned on a map large enough to need many buffer
+// flushes; the flow and CLI digest goldens cover small maps only. The
+// digest is the sha256 the byte-at-a-time encoder produced for the same
+// map, so a change to the buffering cannot move a cache key.
+func TestBinaryCKTBEncodingPinned(t *testing.T) {
+	const want = "9cb37a8a1b79698857ed1465296156e20a6b896d7cf212aca597e0fdcfa33616"
+	_, data := cktbEncoding(t)
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("CKT-B XMAPB sha256 = %s, want %s", got, want)
+	}
+}
+
+// failingWriter accepts its first write and fails every later one.
+type failingWriter struct {
+	calls int
+	err   error
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	w.calls++
+	if w.calls > 1 {
+		return 0, w.err
+	}
+	return len(p), nil
+}
+
+func TestWriteBinaryWriterError(t *testing.T) {
+	x, _ := cktbEncoding(t)
+	boom := errors.New("disk full")
+	w := &failingWriter{err: boom}
+	if err := x.WriteBinary(w); !errors.Is(err, boom) {
+		t.Fatalf("WriteBinary = %v, want the writer's error", err)
+	}
+	if w.calls != 2 {
+		t.Fatalf("%d writes, want the encoder to stop at the first failure (2)", w.calls)
+	}
+}
+
+// The decoder's window must not care how the reader splits the stream:
+// one byte per Read, half of each request, or the final bytes arriving
+// together with io.EOF all decode the map a byte slice does.
+func TestReadXLocationsBinaryReaders(t *testing.T) {
+	_, data := cktbEncoding(t)
+	want, err := ReadXLocationsBinary(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]io.Reader{
+		"one byte":   iotest.OneByteReader(bytes.NewReader(data)),
+		"half":       iotest.HalfReader(bytes.NewReader(data)),
+		"data + EOF": iotest.DataErrReader(bytes.NewReader(data)),
+	} {
+		t.Run(name, func(t *testing.T) {
+			got, err := ReadXLocationsBinary(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.m.Equal(want.m) || got.geom != want.geom {
+				t.Fatal("decoded a different map")
+			}
+		})
+	}
+}
+
+// A multi-byte varint that starts near the end of the window is completed
+// by the refill: a three-byte pattern gap is placed at every offset from
+// well before the window's end to just past it.
+func TestReadXLocationsBinaryVarintStraddlesRefill(t *testing.T) {
+	const patterns = 1 << 15
+	const big = 1 << 14 // a three-byte varint
+	head := binStream(1, 1, patterns, 1, 0)
+	for start := binWindow - 2*binary.MaxVarintLen64; start <= binWindow+2; start++ {
+		// One cell: pattern 0, then lead gaps of 1, the big gap, and two
+		// more gaps of 1. Its count takes two bytes.
+		lead := start - len(head) - 3
+		count := uint64(lead + 4)
+		in := binary.AppendUvarint(append([]byte{}, head...), count)
+		in = append(in, 0)
+		in = append(in, bytes.Repeat([]byte{1}, lead)...)
+		if len(in) != start {
+			t.Fatalf("big gap at offset %d, want %d", len(in), start)
+		}
+		in = binary.AppendUvarint(in, big)
+		in = append(in, 1, 1)
+		want, err := NewXLocations(1, 1, patterns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{lead + big, lead + big + 1, lead + big + 2} {
+			if err := want.AddX(p, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for p := 0; p <= lead; p++ {
+			if err := want.AddX(p, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for name, r := range map[string]io.Reader{
+			"window reads": bytes.NewReader(in),
+			"half reads":   iotest.HalfReader(bytes.NewReader(in)),
+		} {
+			got, err := ReadXLocationsBinary(r)
+			if err != nil {
+				t.Fatalf("offset %d, %s: %v", start, name, err)
+			}
+			if !got.m.Equal(want.m) {
+				t.Fatalf("offset %d, %s: decoded a different map", start, name)
+			}
+		}
+	}
+}
+
+// An error the reader returns part way through comes back wrapped,
+// wherever the stream breaks: in the header, at a window boundary, mid
+// record, or after the last record, where the decoder reads on to EOF.
+func TestReadXLocationsBinaryReaderError(t *testing.T) {
+	_, data := cktbEncoding(t)
+	boom := errors.New("connection reset")
+	for _, cut := range []int{0, 3, 7, binWindow - 1, binWindow + 5, len(data) / 2, len(data)} {
+		r := io.MultiReader(bytes.NewReader(data[:cut]), iotest.ErrReader(boom))
+		if _, err := ReadXLocationsBinary(r); !errors.Is(err, boom) {
+			t.Fatalf("cut at %d: error %v, want it to wrap the reader's error", cut, err)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzReadXLocationsText exercises the text parser: it must never panic,
@@ -74,8 +75,9 @@ func FuzzReadXLocationsJSON(f *testing.F) {
 }
 
 // FuzzReadXLocationsBinary exercises the binary wire decoder: no panic on
-// arbitrary bytes, and anything it accepts must re-encode canonically and
-// agree with the JSON form of the same map.
+// arbitrary bytes, the same outcome whether the bytes arrive at once or one
+// per read, and anything it accepts must re-encode canonically and agree
+// with the JSON form of the same map.
 func FuzzReadXLocationsBinary(f *testing.F) {
 	var seed bytes.Buffer
 	if err := PaperExample().WriteBinary(&seed); err != nil {
@@ -106,8 +108,17 @@ func FuzzReadXLocationsBinary(f *testing.F) {
 	f.Add(dupPattern)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		x, err := ReadXLocationsBinary(bytes.NewReader(in))
+		// The refill path: the same bytes handed over one at a time must
+		// be accepted or refused alike, and decode to the same map.
+		xb, errb := ReadXLocationsBinary(iotest.OneByteReader(bytes.NewReader(in)))
+		if (err == nil) != (errb == nil) {
+			t.Fatalf("byte slice: %v; one byte per read: %v", err, errb)
+		}
 		if err != nil {
 			return
+		}
+		if !xb.m.Equal(x.m) || xb.geom != x.geom {
+			t.Fatal("one byte per read decoded a different map")
 		}
 		var bin bytes.Buffer
 		if err := x.WriteBinary(&bin); err != nil {

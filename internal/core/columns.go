@@ -111,16 +111,17 @@ func (t *colTable) narrow(src []colCount, part gf2.Vec) colIndex {
 	return colIndex{byCol: byCol, byCount: byCount, cells: cells}
 }
 
-// allColumns indexes every column with its global X count: the index the
-// root partition narrows to (itself).
-func (t *colTable) allColumns(patterns int) colIndex {
-	src := make([]colCount, len(t.mult))
-	for c := range src {
-		src[c].col = int32(c)
+// allColumns lists every column, the source a partition with no indexed
+// parent narrows from. narrow reads only the columns of its source, so the
+// entries carry no counts and no popcount pass runs here: the root's own
+// narrow is the one that counts. Every column holds at least one X, so the
+// list stands for every X cell.
+func (t *colTable) allColumns() colIndex {
+	byCol := make([]colCount, len(t.mult))
+	for c := range byCol {
+		byCol[c].col = int32(c)
 	}
-	all := gf2.NewVec(patterns)
-	all.SetAll()
-	return t.narrow(src, all)
+	return colIndex{byCol: byCol, cells: len(t.colOf)}
 }
 
 // slots lists, ascending, the slots whose cells hold an X inside the

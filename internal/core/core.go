@@ -179,9 +179,9 @@ type evaluator struct {
 	totalX int
 	pool   *pool.Pool
 
-	// cols is the run's column table and all the index of every column
-	// with its global count (DESIGN §5.2); both are read-only after
-	// newEvaluator.
+	// cols is the run's column table and all the list of every column
+	// (DESIGN §5.2), the narrowing source of a partition with no indexed
+	// parent; both are read-only after newEvaluator.
 	cols colTable
 	all  colIndex
 
@@ -250,7 +250,7 @@ func newEvaluator(ctx context.Context, m *xmap.XMap, params Params) *evaluator {
 		totalX: m.TotalX(),
 		pool:   pool.New(params.workers()),
 		cols:   cols,
-		all:    cols.allColumns(m.Patterns()),
+		all:    cols.allColumns(),
 		ctx:    ctx,
 		done:   ctx.Done(),
 

@@ -165,7 +165,7 @@ func (st *partState) ensureStats(e *evaluator) {
 
 // ensureIndex returns the partition's column index, building it on first
 // use by narrowing its parent's (a sub-partition only holds X's on columns
-// its parent does) or, with no indexed parent, the all-columns index. Safe
+// its parent does) or, with no indexed parent, the all-columns list. Safe
 // for concurrent callers: the first one in builds (any source yields the
 // identical index, a parent only shrinks the work), later ones block on the
 // Once until it is ready.

@@ -70,7 +70,9 @@ func (v Vec) Len() int { return v.n }
 
 // Words returns the vector's backing words: bit i is bit i%64 of word i/64,
 // and the bits past Len are zero. The slice is shared with v; treat it as
-// read-only.
+// read-only, unless v is a fresh vector no one else holds yet, which its
+// builder may fill through the words as long as the bits past Len stay
+// zero.
 func (v Vec) Words() []uint64 { return v.words }
 
 // Get reports whether bit i is set.

@@ -124,3 +124,25 @@ func TestBodyEncodingErrors(t *testing.T) {
 		t.Fatalf("decompression past limit: %d, want 413", w.Code)
 	}
 }
+
+// A gzip XMAPB body whose CRC-32 trailer is corrupt is refused with 400.
+// gzip verifies the trailer only when the inflated stream reaches EOF, so
+// this holds because the binary decoder reads on to EOF after the last
+// record.
+func TestGzipBinaryBadChecksum(t *testing.T) {
+	s := newTestServer(t, Config{})
+	x, err := xhybrid.ReadXLocations(bytes.NewReader(fixtureBody(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bin bytes.Buffer
+	if err := x.WriteBinary(&bin); err != nil {
+		t.Fatal(err)
+	}
+	body := gzipped(t, bin.Bytes())
+	body[len(body)-8] ^= 0xff // the trailer is CRC-32 then size, 4 bytes each
+	w := post(t, s, "/v1/partition", body, map[string]string{"Content-Encoding": "gzip"})
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("corrupt gzip trailer: %d %s, want 400", w.Code, w.Body.String())
+	}
+}

@@ -1,10 +1,10 @@
 package xmap
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 )
 
 // Binary X-location wire format ("XMAPB", version 1). The encoder lives
@@ -27,57 +27,63 @@ const (
 // output regardless of build order — XCells is always ascending and gaps
 // are derived from it — which is what lets the serving layer use the bytes
 // as a cache key and the flow tests assert worker-count independence.
+//
+// The varints are appended into one fixed buffer (binBuf bytes) that is
+// handed to w whenever it might not hold the next one, so w sees one Write
+// per buffer rather than one per varint. A cell's pattern count is its
+// bitset's popcount and its pattern gaps come from walking the bitset's
+// words, so no index slice is built. An error from w is returned as is.
 func WriteBinary(w io.Writer, m *XMap, chains, chainLen int) error {
 	if chains*chainLen != m.Cells() {
 		return fmt.Errorf("xmap: geometry %dx%d does not cover %d cells", chains, chainLen, m.Cells())
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(BinMagic); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(BinVersion); err != nil {
-		return err
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	writeUv := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
 	cells := m.XCells()
-	for _, v := range [...]uint64{
-		uint64(chains), uint64(chainLen),
-		uint64(m.Patterns()), uint64(len(cells)),
-	} {
-		if err := writeUv(v); err != nil {
-			return err
-		}
+	buf := make([]byte, 0, binBuf)
+	buf = append(buf, BinMagic...)
+	buf = append(buf, BinVersion)
+	for _, v := range [...]int{chains, chainLen, m.Patterns(), len(cells)} {
+		buf = binary.AppendUvarint(buf, uint64(v))
 	}
-	prevCell := -1
+	// Gaps start from 0, so the first cell and each cell's first pattern
+	// come out absolute.
+	prevCell := 0
 	for _, c := range cells {
-		gap := c.Cell // first record: absolute
-		if prevCell >= 0 {
-			gap = c.Cell - prevCell
-		}
-		if err := writeUv(uint64(gap)); err != nil {
-			return err
-		}
-		prevCell = c.Cell
-		ps := c.Patterns.Indices()
-		if err := writeUv(uint64(len(ps))); err != nil {
-			return err
-		}
-		prevP := -1
-		for _, p := range ps {
-			gap := p
-			if prevP >= 0 {
-				gap = p - prevP
-			}
-			if err := writeUv(uint64(gap)); err != nil {
+		if len(buf) > binBuf-2*binary.MaxVarintLen64 {
+			if _, err := w.Write(buf); err != nil {
 				return err
 			}
-			prevP = p
+			buf = buf[:0]
+		}
+		buf = binary.AppendUvarint(buf, uint64(c.Cell-prevCell))
+		buf = binary.AppendUvarint(buf, uint64(c.Patterns.PopCount()))
+		prevCell = c.Cell
+		prevP, base := 0, 0
+		for _, word := range c.Patterns.Words() {
+			for word != 0 {
+				p := base + bits.TrailingZeros64(word)
+				word &= word - 1
+				if len(buf) > binBuf-binary.MaxVarintLen64 {
+					if _, err := w.Write(buf); err != nil {
+						return err
+					}
+					buf = buf[:0]
+				}
+				// Most gaps fit one byte; appending it directly skips
+				// AppendUvarint's loop.
+				if gap := p - prevP; gap < 0x80 {
+					buf = append(buf, byte(gap))
+				} else {
+					buf = binary.AppendUvarint(buf, uint64(gap))
+				}
+				prevP = p
+			}
+			base += 64
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
+
+// binBuf is the encoder's buffer size. Any size that holds the header
+// gives the same bytes; this one matches bufio's default.
+const binBuf = 4096
