@@ -102,11 +102,11 @@ func BenchmarkRunStats(b *testing.B) {
 // BenchmarkRunGreedy is the CI regression gate for the incremental scoring
 // engine: the greedy strategy is the one that scores every candidate split
 // of every live partition per round, so it is the workload most sensitive
-// to the delta pricing, cross-round memoization, column indexes and the
-// bounded scan. It runs the serial engine (Workers: 1), the path perfbench's
-// plan-cktb4 and serve-mixed measure. The benchstat job in ci.yml compares
-// this benchmark between the PR head and its merge base and fails on a >20%
-// slowdown.
+// to the delta pricing, the per-partition split-gain memo, column indexes
+// and the bounded scan. It runs the serial engine (Workers: 1), the path
+// perfbench's plan-cktb4 and serve-mixed measure. The benchstat job in
+// ci.yml compares this benchmark between the PR head and its merge base and
+// fails on a >20% slowdown.
 func BenchmarkRunGreedy(b *testing.B) {
 	prof := workload.Scaled(workload.CKTB(), 4)
 	m, err := prof.Generate()
@@ -130,10 +130,10 @@ func BenchmarkRunGreedy(b *testing.B) {
 
 // BenchmarkRunGreedyWorkers8 is BenchmarkRunGreedy with the hot loops
 // fanned out over 8 workers — the second CI regression gate, covering the
-// striped state interner and the once-guarded memos that the serial run
-// never contends on. Kept a separate top-level benchmark (not a sub-bench
-// of BenchmarkRunGreedy) so the benchstat comparison of either gate never
-// mixes samples.
+// pool's candidate-pricing and enumeration fan-outs and the once-guarded
+// memos that the serial run never contends on. Kept a separate top-level
+// benchmark (not a sub-bench of BenchmarkRunGreedy) so the benchstat
+// comparison of either gate never mixes samples.
 func BenchmarkRunGreedyWorkers8(b *testing.B) {
 	prof := workload.Scaled(workload.CKTB(), 4)
 	m, err := prof.Generate()

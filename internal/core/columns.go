@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 
 	"xhybrid/internal/gf2"
@@ -164,59 +165,48 @@ func subset(s, col []uint64) bool {
 	return true
 }
 
-// scanPair fills the stats of whichever of a and b are still unpriced,
-// both subsets of the partition whose byCount list is given.
-// A side S is fully X on a cell exactly when S ⊆ the cell's pattern set,
-// which needs the cell's in-partition count to reach |S|. byCount runs by
-// descending count, so the walk stops at the first count below the smaller
-// unpriced side; each side whose size the count reaches gets an early-exit
-// word subset test against the run slab (S lies inside the partition, so
-// the unrestricted column suffices), and a passing column adds every cell
-// sharing it. maskedX is then size × cells. The loop is serial: candidate
-// fan-out is the parallel unit. Results commit through each side's Once, so
-// a racing fill keeps the first value — both compute the same integers. A
-// canceled run leaves partial values; the caller aborts with the context
-// error before they can escape.
-func (e *evaluator) scanPair(byCount []colCount, a, b *partState) {
-	aw, sizeA := testSide(a)
-	bw, sizeB := testSide(b)
+// scanSides returns how many cells are fully X on each of two subsets a
+// and b of the partition whose byCount list is given, each side given as
+// its words and size. A non-empty side S is fully X on a cell exactly when
+// S ⊆ the cell's pattern set, which needs the cell's in-partition count to
+// reach |S|. byCount runs by descending count, so the walk stops at the
+// first count below the smaller non-empty side; each side whose size the
+// count reaches gets an early-exit word subset test against the run slab
+// (S lies inside the partition, so the unrestricted column suffices), and a
+// passing column adds every cell sharing it. An empty side masks nothing.
+// The loop is serial: candidate fan-out is the parallel unit. A canceled
+// run returns partial counts; the caller aborts with the context error
+// before they can escape.
+func (e *evaluator) scanSides(byCount []colCount, aw []uint64, sizeA int, bw []uint64, sizeB int) (cellsA, cellsB int) {
+	e.obsRecomputes.Inc()
+	// No column count reaches an empty side's stand-in size.
+	if sizeA == 0 {
+		sizeA = math.MaxInt
+	}
+	if sizeB == 0 {
+		sizeB = math.MaxInt
+	}
 	bound := min(sizeA, sizeB)
-	cellsA, cellsB := 0, 0
-	if bound < noTest {
-		e.obsRecomputes.Inc()
-		tested := 0
-		for i, cc := range byCount {
-			if i&cancelCheckMask == 0 && e.canceled() {
-				break
-			}
-			n := int(cc.count)
-			if n < bound {
-				break
-			}
-			tested++
-			col := e.cols.col(cc.col)
-			if n >= sizeA && subset(aw, col) {
-				cellsA += int(e.cols.mult[cc.col])
-			}
-			if n >= sizeB && subset(bw, col) {
-				cellsB += int(e.cols.mult[cc.col])
-			}
+	slab, w, mult := e.cols.slab, e.cols.w, e.cols.mult
+	tested := 0
+	for i, cc := range byCount {
+		if i&cancelCheckMask == 0 && e.canceled() {
+			break
 		}
-		e.obsScanCols.Add(int64(tested))
+		n := int(cc.count)
+		if n < bound {
+			break
+		}
+		tested++
+		lo := int(cc.col) * w
+		col := slab[lo : lo+w : lo+w]
+		if n >= sizeA && subset(aw, col) {
+			cellsA += int(mult[cc.col])
+		}
+		if n >= sizeB && subset(bw, col) {
+			cellsB += int(mult[cc.col])
+		}
 	}
-	a.commitStats(cellsA)
-	b.commitStats(cellsB)
-}
-
-// noTest is the size testSide reports for a side that needs no subset test;
-// no column count reaches it.
-const noTest = int(^uint(0) >> 1)
-
-// testSide returns a side's words and size when the scan must test it
-// (unpriced and non-empty), or nil and noTest.
-func testSide(st *partState) ([]uint64, int) {
-	if st.statsReady.Load() || st.size == 0 {
-		return nil, noTest
-	}
-	return st.part.Words(), st.size
+	e.obsScanCols.Add(int64(tested))
+	return cellsA, cellsB
 }

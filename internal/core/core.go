@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"xhybrid/internal/gf2"
 	"xhybrid/internal/obs"
@@ -172,7 +171,8 @@ type Result struct {
 // evaluator carries the shared state of one partitioning run. Its pool fans
 // the per-partition and per-candidate loops out over Params.Workers
 // goroutines; every reduction is deterministic, so the evaluator produces
-// identical results for any worker count.
+// identical results for any worker count. It keeps no cache of its own:
+// every memo lives on the partIndex of the partition it describes.
 type evaluator struct {
 	m      *xmap.XMap
 	params Params
@@ -191,17 +191,6 @@ type evaluator struct {
 	ctx  context.Context
 	done <-chan struct{}
 
-	// shards is the lock-striped state interner: candidate scoring interns
-	// partition states from pool goroutines, and a single mutex would
-	// serialize every probe of every worker through one lock. Instead the
-	// content hash picks one of stateShardCount stripes, each with its own
-	// VecSet and state list, so concurrent probes contend only when they
-	// hash to the same stripe. Ids are dense per stripe and assignment
-	// order varies with scheduling, but nothing downstream reads them —
-	// states are addressed by *partState, unique per content — so
-	// concurrent interning cannot leak scheduling into the results.
-	shards [stateShardCount]stateShard
-
 	// Cached observability handles (nil when params.Obs is nil, which
 	// makes every recording below a single-branch no-op).
 	obsRounds      *obs.Counter
@@ -219,32 +208,13 @@ type evaluator struct {
 	obsScanCols    *obs.Counter
 }
 
-// stateShardBits sizes the interner's lock striping; 2^6 = 64 stripes keep
-// the collision probability of two concurrent probes low for any plausible
-// worker count while costing one small VecSet each.
-const (
-	stateShardBits  = 6
-	stateShardCount = 1 << stateShardBits
-)
-
-// stateShard is one stripe of the interner: a content-keyed VecSet plus the
-// partState per dense id, guarded by the stripe's own mutex.
-type stateShard struct {
-	mu     sync.Mutex
-	idx    *gf2.VecSet
-	states []*partState
-	// Pad each shard out to its own cache line so neighboring stripe locks
-	// don't false-share under concurrent scoring.
-	_ [64 - (8+8+24)%64]byte
-}
-
 // newEvaluator builds the run state; the caller must Close the evaluator's
 // pool when done.
 func newEvaluator(ctx context.Context, m *xmap.XMap, params Params) *evaluator {
 	// The column table forces the X-map's lazy cell reindex at this serial
 	// point, before the pool fans XCells readers out over worker goroutines.
 	cols := newColTable(m)
-	e := &evaluator{
+	return &evaluator{
 		m:      m,
 		params: params,
 		totalX: m.TotalX(),
@@ -268,10 +238,6 @@ func newEvaluator(ctx context.Context, m *xmap.XMap, params Params) *evaluator {
 		obsIndexCells:  params.Obs.Counter("core.cellindex.cells.scanned"),
 		obsScanCols:    params.Obs.Counter("core.scan.columns"),
 	}
-	for i := range e.shards {
-		e.shards[i].idx = gf2.NewVecSet()
-	}
-	return e
 }
 
 // close releases the pool and flushes the pool saturation stats.

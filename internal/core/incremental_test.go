@@ -135,10 +135,12 @@ func TestIncrementalCostsMatchNaiveReplay(t *testing.T) {
 }
 
 // TestIncrementalCachesEngage runs the greedy strategy on a fixture large
-// enough to take several rounds and checks the memoization actually fires:
-// states are shared across candidates and rounds, repriced attempts hit the
-// cache, and the recompute count stays below the pre-incremental floor of
-// two full scans per scored candidate.
+// enough to take several rounds and checks the counter arithmetic of the
+// split-gain memo: every scored split is either a memo hit or priced by a
+// scan, the scans are exactly the bounded scans recorded, and those number
+// one per candidate of every partition ever enumerated — the root and both
+// sides of each commit — plus RunCtx's one per priced round, so no
+// candidate of an unchanged partition is priced twice.
 func TestIncrementalCachesEngage(t *testing.T) {
 	prof := workload.Scaled(workload.CKTB(), 8)
 	m, err := prof.Generate()
@@ -152,24 +154,57 @@ func TestIncrementalCachesEngage(t *testing.T) {
 		Strategy: StrategyGreedyCost,
 		Obs:      rec,
 	}
-	if _, err := Run(m, params); err != nil {
+	res, err := Run(m, params)
+	if err != nil {
 		t.Fatal(err)
 	}
 	snap := rec.Snapshot()
 	scored := snap.CounterValue("core.splits.scored")
 	recomputes := snap.CounterValue("core.maskedx.recomputes")
 	hits := snap.CounterValue("core.state.cache.hits")
-	if scored == 0 {
-		t.Fatal("fixture produced no greedy candidates")
+	misses := snap.CounterValue("core.state.cache.misses")
+	if scored == 0 || len(res.Rounds) < 2 {
+		t.Fatalf("fixture scored %d splits over %d rounds; the test needs several", scored, len(res.Rounds))
+	}
+	if hits+misses != scored {
+		t.Errorf("memo hits %d + misses %d != %d scored splits", hits, misses, scored)
+	}
+	if misses != recomputes {
+		t.Errorf("%d splits priced by a scan but %d bounded scans", misses, recomputes)
+	}
+
+	// Replay the commits: every partition that ever lived was enumerated
+	// once, and each contributes its candidate count in scans.
+	all := gf2.NewVec(m.Patterns())
+	all.SetAll()
+	parts := []gf2.Vec{all}
+	enumerated := 0
+	enumerate := func(p gf2.Vec) {
+		if p.PopCount() >= 2 {
+			enumerated += len(refCands(m, p, greedyCandidateCap))
+		}
+	}
+	enumerate(all)
+	for _, r := range res.Rounds {
+		if !r.Accepted {
+			continue
+		}
+		parent := parts[r.SplitPartition]
+		cellBits, _ := m.CellPatterns(r.SplitCell)
+		xs, rs := gf2.AndOf(parent, cellBits), gf2.AndNotOf(parent, cellBits)
+		enumerate(xs)
+		enumerate(rs)
+		parts = append(parts[:r.SplitPartition], append([]gf2.Vec{xs, rs}, parts[r.SplitPartition+1:]...)...)
+	}
+	if want := int64(enumerated + len(res.Rounds)); recomputes != want {
+		t.Errorf("recomputes = %d, want %d: %d candidates enumerated plus %d priced rounds",
+			recomputes, want, enumerated, len(res.Rounds))
 	}
 	if hits == 0 {
-		t.Errorf("state cache never hit across %d scored candidates", scored)
+		t.Errorf("no scored split reused a memoized gain across %d rounds", len(res.Rounds))
 	}
-	if recomputes >= 2*scored {
-		t.Errorf("recomputes = %d, want < %d (two full scans per candidate was the old floor)", recomputes, 2*scored)
-	}
-	if snap.CounterValue("core.score.delta") == 0 {
-		t.Error("no delta-priced scores recorded")
+	if snap.CounterValue("core.score.delta") != scored {
+		t.Errorf("core.score.delta = %d, want every one of the %d scored splits", snap.CounterValue("core.score.delta"), scored)
 	}
 }
 

@@ -32,11 +32,11 @@ func Run(m *xmap.XMap, params Params) (*Result, error) {
 // swapping three contributions in and out of running totals instead of
 // re-walking every partition; per-partition scans cover only the cells a
 // partition-local index says can matter; and every derived quantity (stats,
-// candidate groups, greedy candidate lists) is memoized on the partition's
-// content, surviving across rounds. All of it is exact integer
-// rearrangement of the full cost sum, so plans are byte-identical to a
-// from-scratch evaluation — and byte-identical for any worker count, since
-// every parallel reduction stays position-indexed.
+// candidate groups, greedy candidate lists and their split gains) is
+// memoized on the partition it describes, surviving across rounds. All of
+// it is exact integer rearrangement of the full cost sum, so plans are
+// byte-identical to a from-scratch evaluation — and byte-identical for any
+// worker count, since every parallel reduction stays position-indexed.
 func RunCtx(ctx context.Context, m *xmap.XMap, params Params) (*Result, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -56,11 +56,10 @@ func RunCtx(ctx context.Context, m *xmap.XMap, params Params) (*Result, error) {
 	// index is every column; all later indexes narrow an ancestor's.
 	all := gf2.NewVec(m.Patterns())
 	all.SetAll()
-	root := e.stateFor(all)
-	root.ensureStats(e)
+	root := e.indexedState(all)
 	live := []*partState{root}
 	masked := root.maskedX
-	maskBits := e.contrib(root)
+	maskBits := e.params.maskImageBits()
 	cost := maskBits + e.cancelBits(masked)
 	e.obsFull.Inc()
 
@@ -95,14 +94,14 @@ func RunCtx(ctx context.Context, m *xmap.XMap, params Params) (*Result, error) {
 		}
 		e.obsRounds.Inc()
 		e.obsScored.Inc()
-		// Delta pricing: the split replaces the parent's contribution with
-		// its two sides'. The greedy selector already interned the winning
-		// candidate's sides, so this re-pricing is pure cache hits there.
+		e.obsStateMisses.Inc()
+		// Delta pricing: the split replaces the parent's masked X's with
+		// its two sides' and adds one mask image.
 		parent := live[cand.Partition]
 		xs, rs := e.splitStates(parent, cand.Cell)
 		e.obsDelta.Inc()
 		newMasked := masked - parent.maskedX + xs.maskedX + rs.maskedX
-		newMaskBits := maskBits - e.contrib(parent) + e.contrib(xs) + e.contrib(rs)
+		newMaskBits := maskBits + e.params.maskImageBits()
 		newCost := newMaskBits + e.cancelBits(newMasked)
 		r := Round{
 			Round:          len(rounds) + 1,
@@ -205,60 +204,88 @@ func (e *evaluator) selectPaper(live []*partState, random bool, rng *rand.Rand) 
 // partition and round (largest gain first).
 const greedyCandidateCap = 256
 
-// selectGreedy evaluates the cost delta of every distinct candidate split
-// and returns the best strictly improving one, or false. Phase 1 assembles
-// each partition's deduplicated, gain-ranked candidate cells — memoized on
-// the partition, so only freshly split partitions enumerate anything.
-// Phase 2 prices every candidate by contribution swap against the running
-// totals; side states are interned by content, so a candidate unchanged
-// since the last round costs two hash probes instead of a bounded scan.
-// The reduce takes the lowest cost at the earliest position in the serial
-// enumeration order (partition index, then gain rank), so the pick matches
-// a serial scan exactly.
+// selectGreedy evaluates the cost of every distinct candidate split and
+// returns the best strictly improving one, or false. Each partition's
+// deduplicated, gain-ranked candidate cells and their split gains are
+// memoized on its index, so only the partitions born from the last commit
+// (the root in round 1) enumerate or scan anything. A split's cost is
+// maskBits + one mask image + cancelBits(masked + gain), integer for
+// integer the contribution swap against the running totals. The reduce
+// takes the lowest cost at the earliest position in the serial enumeration
+// order (partition index, then gain rank), so the pick matches a serial
+// scan exactly.
 func (e *evaluator) selectGreedy(live []*partState, masked, maskBits, cost int) (Split, bool) {
-	cands := make([][]int, len(live))
+	idxs := make([]*partIndex, len(live))
 	e.pool.ForEach(len(live), func(i int) {
 		if e.canceled() || live[i].size < 2 {
 			return
 		}
-		cands[i] = live[i].ensureCands(e, greedyCandidateCap)
+		live[i].ensureCands(e, greedyCandidateCap)
+		idxs[i] = live[i].idx.Load()
 	})
-	n := 0
-	for _, list := range cands {
-		n += len(list)
-	}
-	all := make([]Split, 0, n)
-	for i, list := range cands {
-		for _, cell := range list {
-			all = append(all, Split{Partition: i, Cell: cell})
-		}
-	}
-	if len(all) == 0 {
+	fresh, ok := e.priceFresh(live, idxs)
+	if !ok {
 		return Split{}, false
 	}
-	// Score every candidate concurrently, then reduce by (cost, position).
-	e.obsScored.Add(int64(len(all)))
-	costs := make([]int, len(all))
-	e.pool.ForEach(len(all), func(k int) {
-		if e.canceled() {
-			return
+	best, bestCost, n := Split{}, cost, 0
+	splitBits := maskBits + e.params.maskImageBits()
+	for i, idx := range idxs {
+		if idx == nil {
+			continue
 		}
-		parent := live[all[k].Partition]
-		xs, rs := e.splitStates(parent, all[k].Cell)
-		e.obsDelta.Inc()
-		costs[k] = maskBits - e.contrib(parent) + e.contrib(xs) + e.contrib(rs) +
-			e.cancelBits(masked-parent.maskedX+xs.maskedX+rs.maskedX)
+		n += len(idx.gains)
+		for k, gain := range idx.gains {
+			if c := splitBits + e.cancelBits(masked+gain); c < bestCost {
+				best, bestCost = Split{Partition: i, Cell: idx.cands[k]}, c
+			}
+		}
+	}
+	e.obsScored.Add(int64(n))
+	e.obsDelta.Add(int64(n))
+	e.obsStateHits.Add(int64(n - fresh))
+	return best, bestCost < cost
+}
+
+// priceFresh memoizes the split gains of every enumerated partition that
+// has none yet, fanning their candidates out over the pool with one scratch
+// buffer per chunk for the two sides' words. Each candidate writes its own
+// slot, and the gains are published only after the fan-out has returned
+// with the run still live, so a canceled pass leaves no partly filled memo.
+// It returns how many candidates it priced, or false once the run is
+// canceled.
+func (e *evaluator) priceFresh(live []*partState, idxs []*partIndex) (int, bool) {
+	type cand struct{ part, k int32 }
+	var jobs []cand
+	gains := make([][]int, len(idxs))
+	for i, idx := range idxs {
+		if idx == nil || idx.gains != nil {
+			continue
+		}
+		gains[i] = make([]int, len(idx.cands))
+		for k := range idx.cands {
+			jobs = append(jobs, cand{int32(i), int32(k)})
+		}
+	}
+	w := e.cols.w
+	e.pool.Chunks(len(jobs), func(_, lo, hi int) {
+		scratch := make([]uint64, 2*w)
+		for _, j := range jobs[lo:hi] {
+			if e.canceled() {
+				return
+			}
+			gains[j.part][j.k] = e.splitGain(live[j.part], idxs[j.part].candCols[j.k], scratch[:w], scratch[w:])
+		}
 	})
-	bestIdx := 0
-	for k := 1; k < len(all); k++ {
-		if costs[k] < costs[bestIdx] {
-			bestIdx = k
+	if e.canceled() {
+		return 0, false
+	}
+	for i, g := range gains {
+		if g != nil {
+			idxs[i].gains = g
 		}
 	}
-	if costs[bestIdx] >= cost {
-		return Split{}, false
-	}
-	return all[bestIdx], true
+	e.obsStateMisses.Add(int64(len(jobs)))
+	return len(jobs), true
 }
 
 // finalize materializes the masks and the full accounting.

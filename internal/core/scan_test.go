@@ -10,6 +10,7 @@ import (
 	"xhybrid/internal/gf2"
 	"xhybrid/internal/misr"
 	"xhybrid/internal/scan"
+	"xhybrid/internal/workload"
 	"xhybrid/internal/xcancel"
 	"xhybrid/internal/xmap"
 	"xhybrid/internal/xmask"
@@ -93,9 +94,6 @@ func refCands(m *xmap.XMap, part gf2.Vec, limit int) []int {
 // partition, which shares no code with the column scan.
 func checkStats(t *testing.T, m *xmap.XMap, st *partState, what string) {
 	t.Helper()
-	if !st.statsReady.Load() {
-		t.Fatalf("%s: stats not filled", what)
-	}
 	mask, mx := xmask.PartitionMask(m, st.part)
 	if st.maskedX != mx || st.maskCells != mask.Cells.PopCount() {
 		t.Fatalf("%s: scan (maskedX %d, cells %d), PartitionMask (%d, %d)",
@@ -127,15 +125,65 @@ func checkIndex(t *testing.T, e *evaluator, st *partState, what string) {
 	}
 }
 
-// TestScanMatchesPartitionMask locks the bounded column scan and the
-// column-order candidate walk against references that share no code with
-// them, on pattern counts around the word boundaries: every split side's
-// (maskedX, maskCells) equals xmask.PartitionMask's, parentless and
-// self-indexed states price the same way, every built column index equals a
-// brute-force one, and ensureCands equals the slot-order enumeration for
-// every committed partition. Split cells range
-// over the whole map, so sides that miss a cell entirely (an empty X side)
-// are covered too.
+// checkGreedy runs selectGreedy over live and checks it against
+// references built from xmask.PartitionMask on materialized sides: every
+// partition's memo holds the slot-order candidates with, in the same
+// order, the two sides' maskedX minus the partition's, and the pick is the
+// earliest candidate of lowest cost in (partition, gain rank) order.
+func checkGreedy(t *testing.T, e *evaluator, live []*partState, what string) {
+	t.Helper()
+	maskedOf := func(v gf2.Vec) int {
+		_, mx := xmask.PartitionMask(e.m, v)
+		return mx
+	}
+	img := e.params.maskImageBits()
+	masked := 0
+	for _, st := range live {
+		masked += maskedOf(st.part)
+	}
+	maskBits := img * len(live)
+	cost := maskBits + e.cancelBits(masked)
+	cells, gains := make([][]int, len(live)), make([][]int, len(live))
+	want, wantCost := Split{}, cost
+	for i, st := range live {
+		if st.size < 2 {
+			continue
+		}
+		for _, cell := range refCands(e.m, st.part, greedyCandidateCap) {
+			bits, _ := e.m.CellPatterns(cell)
+			gain := maskedOf(gf2.AndOf(st.part, bits)) + maskedOf(gf2.AndNotOf(st.part, bits)) - maskedOf(st.part)
+			cells[i], gains[i] = append(cells[i], cell), append(gains[i], gain)
+			if c := maskBits + img + e.cancelBits(masked+gain); c < wantCost {
+				want, wantCost = Split{Partition: i, Cell: cell}, c
+			}
+		}
+	}
+	got, ok := e.selectGreedy(live, masked, maskBits, cost)
+	if ok != (wantCost < cost) || ok && got != want {
+		t.Fatalf("%s: selectGreedy = (%+v, %t), reference (%+v, %t)", what, got, ok, want, wantCost < cost)
+	}
+	for i, st := range live {
+		if st.size < 2 {
+			continue
+		}
+		idx := st.idx.Load()
+		if fmt.Sprint(idx.cands, idx.gains) != fmt.Sprint(cells[i], gains[i]) {
+			t.Fatalf("%s: partition %d memo cells %v gains %v, PartitionMask reference %v %v",
+				what, i, idx.cands, idx.gains, cells[i], gains[i])
+		}
+	}
+}
+
+// TestScanMatchesPartitionMask locks the bounded column scan, the
+// column-order candidate walk and the greedy gain memo against references
+// that share no code with them, on pattern counts around the word
+// boundaries: every split side's (maskedX, maskCells) equals
+// xmask.PartitionMask's, parentless states price the same way, every built
+// column index equals a brute-force one, ensureCands equals the slot-order
+// enumeration for every committed partition, and every walked partition's
+// memoized split gains and greedy pick match PartitionMask's. Split cells
+// range over the whole map, so sides that miss a cell entirely (an empty X
+// side) are covered too.
 func TestScanMatchesPartitionMask(t *testing.T) {
 	for _, patterns := range []int{1, 63, 64, 65, 130} {
 		t.Run(fmt.Sprintf("patterns=%d", patterns), func(t *testing.T) {
@@ -158,9 +206,7 @@ func TestScanMatchesPartitionMask(t *testing.T) {
 				}
 				all := gf2.NewVec(patterns)
 				all.SetAll()
-				root := e.stateFor(all)
-				root.ensureIndex(e, nil)
-				root.ensureStats(e)
+				root := e.indexedState(all)
 				checkStats(t, m, root, "root")
 				checkIndex(t, e, root, "root")
 
@@ -169,6 +215,7 @@ func TestScanMatchesPartitionMask(t *testing.T) {
 				// partitions, and descend into one of them.
 				live := []*partState{root}
 				for depth := 0; depth < 4 && len(live) > 0; depth++ {
+					checkGreedy(t, e, live, fmt.Sprintf("trial %d depth %d", trial, depth))
 					parent := live[r.Intn(len(live))]
 					for _, limit := range []int{2, greedyCandidateCap} {
 						got := freshCands(e, parent, limit)
@@ -202,16 +249,11 @@ func TestScanMatchesPartitionMask(t *testing.T) {
 				}
 
 				// Parentless states price like PartitionMask from their own
-				// index, whether ensureStats builds it or finds it built.
-				for k := 0; k < 6; k++ {
-					loose := e.stateFor(randVec(r, patterns, 1+k%3))
-					loose.ensureStats(e)
+				// index.
+				for k := 0; k < 12; k++ {
+					loose := e.indexedState(randVec(r, patterns, 1+k%4))
 					checkStats(t, m, loose, "parentless state")
-					own := e.stateFor(randVec(r, patterns, 2+k%3))
-					own.ensureIndex(e, nil)
-					own.ensureStats(e)
-					checkStats(t, m, own, "self-indexed state")
-					checkIndex(t, e, own, "self-indexed state")
+					checkIndex(t, e, loose, "parentless state")
 				}
 				e.close()
 			}
@@ -231,4 +273,54 @@ func freshCands(e *evaluator, st *partState, limit int) []int {
 	fresh := &partState{part: st.part, size: st.size}
 	fresh.idx.Store(&partIndex{colIndex: st.ensureIndex(e, nil).colIndex})
 	return fresh.ensureCands(e, limit)
+}
+
+// TestGreedyReduceTakesEarliestLowestCost pins selectGreedy's reduce rule —
+// lowest cost at the earliest (partition, gain rank) position — apart from
+// a highest-gain rule. Within a run the two agree: cancelBits grows by more
+// than one bit per residual X, so distinct gains never tie on cost. They
+// part only where the residual clamps at zero, so the test hands the
+// selector a running masked total that leaves fewer residual X's than any
+// positive gain: every such candidate then costs the same, and the
+// earliest one must win even though a later one gains more.
+func TestGreedyReduceTakesEarliestLowestCost(t *testing.T) {
+	prof := workload.Scaled(workload.CKTB(), 16)
+	m, err := prof.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := Params{
+		Geom:                 prof.Geometry(),
+		Cancel:               xcancel.Config{MISR: misr.MustStandard(32), Q: 7},
+		MaskBitsPerPartition: 1,
+		Workers:              1,
+	}
+	e := newEvaluator(context.Background(), m, params)
+	defer e.close()
+	all := gf2.NewVec(m.Patterns())
+	all.SetAll()
+	root := e.indexedState(all)
+	live := []*partState{root}
+	// A first pass fills the memo; the gains do not depend on the totals.
+	e.selectGreedy(live, root.maskedX, 1, 1)
+	idx := root.idx.Load()
+	first, minGain, later := -1, 0, false
+	for k, g := range idx.gains {
+		switch {
+		case g <= 0:
+		case first < 0:
+			first, minGain = k, g
+		default:
+			minGain = min(minGain, g)
+			later = later || g > idx.gains[first]
+		}
+	}
+	if first < 0 || !later {
+		t.Fatalf("fixture gains %v hold no higher gain after the first positive one", idx.gains)
+	}
+	masked := e.totalX - minGain
+	got, ok := e.selectGreedy(live, masked, 1, 1+e.cancelBits(masked))
+	if want := idx.cands[first]; !ok || got != (Split{Cell: want}) {
+		t.Fatalf("selectGreedy = (%+v, %t), want cell %d: the earliest of the tied candidates", got, ok, want)
+	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,31 +12,17 @@ import (
 	"xhybrid/internal/xcancel"
 )
 
-// partState caches everything the partitioner derives from one distinct
-// partition bitset. States are interned by partition content in the
-// evaluator's VecSet, so a bitset that reappears — a candidate split
-// re-scored in a later round, the X side of one candidate equal to the rest
-// of another — reuses the scan results instead of recomputing them.
-// Partition bitsets are immutable once interned (splitStates always builds
-// fresh vectors), so a cached value never goes stale.
-//
-// Most states are candidate split sides that only ever need their stats;
-// the column index and the memos built on it live in a partIndex that only
-// committed partitions (and states the selectors group or enumerate)
-// allocate.
+// partState is one partition the partitioner has built: the root, a
+// committed split side, or a side RunCtx prices for the round's chosen
+// split. Its stats are set where it is built and never change; the column
+// index and the memos built on it live in a partIndex that only the root
+// and committed partitions allocate.
 type partState struct {
-	// part is the pattern bitset, shared with the evaluator's VecSet
-	// storage; read-only.
+	// part is the pattern bitset; read-only.
 	part gf2.Vec
 	// size is part.PopCount().
 	size int
 
-	// statsOnce guards maskedX/maskCells: candidate scoring fans out over
-	// the pool and two in-flight candidates may share a side state.
-	// statsReady lets scanPair skip sides that are already filled without
-	// consuming their Once.
-	statsOnce  sync.Once
-	statsReady atomic.Bool
 	// maskedX is the number of X's the partition's shared mask removes.
 	maskedX int
 	// maskCells is the number of cells that mask covers.
@@ -52,115 +39,48 @@ type partIndex struct {
 	colIndex
 
 	// groups memoizes the partition's equal-count candidate groups.
-	// Once-guarded like the stats: groupsPerPartition fans distinct states
-	// out per index, but nothing stops an external caller (or a future
-	// selector) from racing two lookups of one state, so the memo defends
-	// itself rather than leaning on the caller's fan-out shape.
+	// Once-guarded: groupsPerPartition fans distinct states out per index,
+	// but nothing stops an external caller (or a future selector) from
+	// racing two lookups of one state, so the memo defends itself rather
+	// than leaning on the caller's fan-out shape.
 	groupsOnce  sync.Once
 	groupsReady atomic.Bool
 	groups      []correlation.Group
 
 	// cands memoizes the partition's gain-ranked greedy candidate cells
-	// (deduplicated by in-partition signature, capped), once-guarded like
-	// groups. Partition indexes are assembled by the caller per round, so
-	// the cache stays valid as the live list shifts.
+	// (deduplicated by in-partition signature, capped) and candCols each
+	// one's column, once-guarded like groups. Partition indexes are
+	// assembled by the caller per round, so the cache stays valid as the
+	// live list shifts.
 	candsOnce  sync.Once
 	candsReady atomic.Bool
 	cands      []int
+	candCols   []int32
+
+	// gains memoizes, per entry of cands and in the same order, the masked
+	// X's the split on that cell gains: the two sides' maskedX minus the
+	// partition's. A split's cost depends on the rest of the plan only
+	// through running totals, so the gain prices it in every round. nil
+	// until selectGreedy publishes a completed pricing; only its serial
+	// code reads or writes the field.
+	gains []int
 }
 
-// shardFor picks the stripe a content hash lives in. The top hash bits
-// select, so stripe choice is independent of the low bits VecSet's bucket
-// map mixes on.
-func (e *evaluator) shardFor(h uint64) *stateShard {
-	return &e.shards[h>>(64-stateShardBits)]
-}
-
-// stateFor interns v and returns its state. The set keeps v itself; the
-// caller must not mutate it afterwards. The content hash is computed once,
-// outside the lock, and reused for both the stripe choice and the set probe.
-func (e *evaluator) stateFor(v gf2.Vec) *partState {
-	h := v.Hash()
-	sh := e.shardFor(h)
-	sh.mu.Lock()
-	id, existed := sh.idx.AddWithHash(h, v)
-	return e.internLocked(sh, id, existed)
-}
-
-// stateAnd interns (a & b) without materializing it on a cache hit. h must
-// be a.HashAnd(b) (or the matching half of a.HashPair(b)).
-func (e *evaluator) stateAnd(h uint64, a, b gf2.Vec) *partState {
-	sh := e.shardFor(h)
-	sh.mu.Lock()
-	id, existed := sh.idx.AddAndWithHash(h, a, b)
-	return e.internLocked(sh, id, existed)
-}
-
-// stateAndNot interns (a &^ b) without materializing it on a cache hit.
-// h must be a.HashAndNot(b).
-func (e *evaluator) stateAndNot(h uint64, a, b gf2.Vec) *partState {
-	sh := e.shardFor(h)
-	sh.mu.Lock()
-	id, existed := sh.idx.AddAndNotWithHash(h, a, b)
-	return e.internLocked(sh, id, existed)
-}
-
-// internLocked finishes a state lookup. It must be entered with sh.mu held
-// and releases it.
-func (e *evaluator) internLocked(sh *stateShard, id int, existed bool) *partState {
-	if existed {
-		st := sh.states[id]
-		sh.mu.Unlock()
-		e.obsStateHits.Inc()
-		return st
-	}
-	part := sh.idx.Vec(id)
+// indexedState builds the state of a partition with no parent — RunCtx's
+// root — indexing it over every column and pricing it from that index for
+// free: a cell is fully X exactly when its in-partition count equals the
+// size, and those columns lead byCount.
+func (e *evaluator) indexedState(part gf2.Vec) *partState {
 	st := &partState{part: part, size: part.PopCount()}
-	sh.states = append(sh.states, st)
-	sh.mu.Unlock()
-	e.obsStateMisses.Inc()
-	return st
-}
-
-// internedStates returns every state across the stripes (unordered) — the
-// consistency surface the concurrent-interning stress test audits against
-// the core.state.cache.* counters.
-func (e *evaluator) internedStates() []*partState {
-	var out []*partState
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.Lock()
-		out = append(out, sh.states...)
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// commitStats records a priced state's stats — maskedX is size × cells —
-// through its Once, so a racing fill keeps the first value.
-func (st *partState) commitStats(cells int) {
-	st.statsOnce.Do(func() {
-		st.maskedX, st.maskCells = st.size*cells, cells
-		st.statsReady.Store(true)
-	})
-}
-
-// ensureStats prices a state that is no split side — RunCtx's root — from
-// its own column index, for free: a cell is fully X exactly when its
-// in-partition count equals the size, and those columns lead byCount.
-func (st *partState) ensureStats(e *evaluator) {
-	if st.statsReady.Load() {
-		return
-	}
-	idx := st.ensureIndex(e, nil)
 	cells := 0
-	for _, cc := range idx.byCount {
+	for _, cc := range st.ensureIndex(e, nil).byCount {
 		if int(cc.count) != st.size {
 			break
 		}
 		cells += int(e.cols.mult[cc.col])
 	}
-	st.commitStats(cells)
+	st.maskedX, st.maskCells = st.size*cells, cells
+	return st
 }
 
 // ensureIndex returns the partition's column index, building it on first
@@ -264,38 +184,48 @@ func (st *partState) ensureCands(e *evaluator, limit int) []int {
 			cands = cands[:limit]
 		}
 		idx.cands = make([]int, len(cands))
+		idx.candCols = make([]int32, len(cands))
 		for i, ca := range cands {
 			idx.cands[i] = cells[e.cols.firstSlot[ca.col]].Cell
+			idx.candCols[i] = ca.col
 		}
 		idx.candsReady.Store(true)
 	})
 	return idx.cands
 }
 
-// splitStates interns the two sides of splitting parent on cell and fills
-// their stats. Both sides' content hashes come from one fused word scan
-// (gf2.Vec.HashPair), so a cache hit costs a single pass over the parent
-// and cell bitsets; on a hit neither side's bitset is even materialized and
-// no scan runs at all. Otherwise one bounded scan of the parent's column
-// index prices whichever sides are fresh.
+// splitStates builds the two sides of splitting parent on cell and prices
+// them with one bounded scan of the parent's column index. It is RunCtx's
+// pricing of the round's chosen split; the sides are fresh vectors, and
+// only a committed pair ever gets a column index.
 func (e *evaluator) splitStates(parent *partState, cell int) (xs, rs *partState) {
 	cellBits, ok := e.m.CellPatterns(cell)
 	if !ok {
 		panic(fmt.Sprintf("core: split cell %d captures no X", cell))
 	}
-	hAnd, hAndNot := parent.part.HashPair(cellBits)
-	xs = e.stateAnd(hAnd, parent.part, cellBits)
-	rs = e.stateAndNot(hAndNot, parent.part, cellBits)
-	if !xs.statsReady.Load() || !rs.statsReady.Load() {
-		e.scanPair(parent.ensureIndex(e, nil).byCount, xs, rs)
-	}
+	x, r := gf2.AndOf(parent.part, cellBits), gf2.AndNotOf(parent.part, cellBits)
+	xn := x.PopCount()
+	rn := parent.size - xn
+	cx, cr := e.scanSides(parent.ensureIndex(e, nil).byCount, x.Words(), xn, r.Words(), rn)
+	xs = &partState{part: x, size: xn, maskedX: xn * cx, maskCells: cx}
+	rs = &partState{part: r, size: rn, maskedX: rn * cr, maskCells: cr}
 	return xs, rs
 }
 
-// contrib returns the partition's mask control-bit contribution: one mask
-// image, whatever the mask covers (the paper charges every partition).
-func (e *evaluator) contrib(st *partState) int {
-	return e.params.maskImageBits()
+// splitGain returns the masked-X gain of splitting the indexed partition
+// st on column col: the two sides' maskedX minus st's. It builds the sides
+// in the scratch words xw and rw (one partition's worth each) and prices
+// them with the same bounded scan as splitStates.
+func (e *evaluator) splitGain(st *partState, col int32, xw, rw []uint64) int {
+	cw := e.cols.col(col)
+	xn := 0
+	for i, w := range st.part.Words() {
+		xw[i], rw[i] = w&cw[i], w&^cw[i]
+		xn += bits.OnesCount64(xw[i])
+	}
+	rn := st.size - xn
+	cx, cr := e.scanSides(st.idx.Load().byCount, xw, xn, rw, rn)
+	return xn*cx + rn*cr - st.maskedX
 }
 
 // cancelBits prices the X-canceling of everything the masks leave behind.

@@ -4,8 +4,8 @@ import "math/rand"
 
 // Strategy is the pluggable split-selection rule of the partitioner. The
 // engine owns everything else — delta pricing, the accept gate (a split
-// commits only when it strictly lowers the standard mask+cancel cost),
-// state interning and the final accounting — so a Strategy only decides
+// commits only when it strictly lowers the standard mask+cancel cost), the
+// per-partition memos and the final accounting — so a Strategy only decides
 // which split to try each round.
 //
 // Implementations must be safe for concurrent use by independent runs: a

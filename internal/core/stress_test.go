@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 
+	"xhybrid/internal/correlation"
 	"xhybrid/internal/gf2"
 	"xhybrid/internal/misr"
 	"xhybrid/internal/obs"
@@ -14,14 +16,18 @@ import (
 	"xhybrid/internal/xcancel"
 )
 
-// TestConcurrentInterningConsistency hammers one shared evaluator — the
-// striped state interner plus every once-guarded memo — from many
-// goroutines at once and then audits the wreckage: every intern call is
-// accounted for as exactly one hit or miss, the miss count equals the
-// number of states that exist, no content was interned twice across
-// stripes, and every filled stat matches a serial recomputation. Run under
-// -race (CI does) this is the engine's concurrency-safety proof.
-func TestConcurrentInterningConsistency(t *testing.T) {
+// TestSharedMemosConsistentUnderConcurrency hammers the memos concurrent
+// callers share — each partition's once-guarded column index, equal-count
+// groups and greedy candidate list — from 16 goroutines over one evaluator
+// at Workers: 4, so the grouping fan-out nests in the pool while other
+// goroutines race the same Onces. Every state starts unindexed; half the
+// callers narrow its index from the parent's, half from the all-columns
+// list. It then audits each memo against a serial recompute — the index
+// against a brute-force one, the candidates against the slot-order
+// enumeration, the groups against a fresh full-scan grouping — and each
+// Once against its counter: one index build and one grouping per state.
+// Run under -race (CI does) this is the engine's concurrency-safety proof.
+func TestSharedMemosConsistentUnderConcurrency(t *testing.T) {
 	prof := workload.Scaled(workload.CKTB(), 16)
 	m, err := prof.Generate()
 	if err != nil {
@@ -38,119 +44,69 @@ func TestConcurrentInterningConsistency(t *testing.T) {
 	defer e.close()
 
 	patterns := m.Patterns()
+	all := gf2.NewVec(patterns)
+	all.SetAll()
+	root := e.indexedState(all)
+	// Shared states with no index yet: split sides of the root, and random
+	// pattern sets with no parent at all.
+	var states, parents []*partState
 	cells := m.XCells()
-	// A shared pool of contents: every goroutine interns its own clone of
-	// each, so dedup across goroutines (not pointer identity) is what keeps
-	// the state count down.
-	r := rand.New(rand.NewSource(42))
-	vecs := make([]gf2.Vec, 48)
-	for i := range vecs {
-		v := gf2.NewVec(patterns)
-		for j := 0; j < patterns; j++ {
-			if r.Intn(3) != 0 {
-				v.Set(j)
-			}
-		}
-		vecs[i] = v
+	for i := 0; i < len(cells) && len(states) < 32; i += 1 + len(cells)/16 {
+		xs, rs := e.splitStates(root, cells[i].Cell)
+		states = append(states, xs, rs)
+		parents = append(parents, root, root)
 	}
-	full := gf2.NewVec(patterns)
-	for j := 0; j < patterns; j++ {
-		full.Set(j)
+	r := rand.New(rand.NewSource(42))
+	for i := 0; i < 16; i++ {
+		v := randVec(r, patterns, 1+i%3)
+		states = append(states, &partState{part: v, size: v.PopCount()})
+		parents = append(parents, nil)
 	}
 
-	const goroutines = 16
-	calls := make([]int64, goroutines)
+	const goroutines, limit = 16, 32
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var n int64
-			parent := e.stateFor(full.Clone())
-			n++
-			parent.ensureIndex(e, nil)
-			parent.ensureStats(e)
-			for i, v := range vecs {
-				st := e.stateFor(v.Clone())
-				n++
-				st.ensureStats(e)
-				if (i+g)%3 == 0 {
-					st.ensureIndex(e, nil)
-					st.ensureGroups(e)
+			for k := range states {
+				i := (k + g) % len(states)
+				var parent *partState
+				if g%2 == 0 {
+					parent = parents[i]
 				}
-				if (i+g)%4 == 0 {
-					st.ensureCands(e, 32)
-				}
+				states[i].ensureIndex(e, parent)
+				states[i].ensureGroups(e)
+				states[i].ensureCands(e, limit)
 			}
-			// Overlapping split fans: goroutines g and g+9 walk the same
-			// cells, so split sides race their pair scans and Onces.
-			for i := g; i < len(cells); i += 9 {
-				xs, rs := e.splitStates(parent, cells[i].Cell)
-				n += 2
-				if xs.size+rs.size != parent.size {
-					t.Errorf("split of cell %d lost patterns: %d + %d != %d",
-						cells[i].Cell, xs.size, rs.size, parent.size)
-				}
-			}
-			calls[g] = n
 		}(g)
 	}
 	wg.Wait()
 
-	var total int64
-	for _, c := range calls {
-		total += c
+	for i, st := range states {
+		what := fmt.Sprintf("state %d (size %d)", i, st.size)
+		checkIndex(t, e, st, what)
+		idx := st.idx.Load()
+		if want := refCands(m, st.part, limit); fmt.Sprint(idx.cands) != fmt.Sprint(want) {
+			t.Errorf("%s: candidates %v, slot-order reference %v", what, idx.cands, want)
+		}
+		if want := correlation.GroupsWithin(m, st.part); !reflect.DeepEqual(idx.groups, want) {
+			t.Errorf("%s: groups %v, fresh grouping %v", what, idx.groups, want)
+		}
 	}
 	snap := rec.Snapshot()
-	hits := snap.CounterValue("core.state.cache.hits")
-	misses := snap.CounterValue("core.state.cache.misses")
-	if hits+misses != total {
-		t.Errorf("state cache hits %d + misses %d != %d intern calls", hits, misses, total)
+	if got, want := snap.CounterValue("core.cellindex.builds"), int64(len(states)+1); got != want {
+		t.Errorf("%d index builds, want %d: one per state plus the root", got, want)
 	}
-	states := e.internedStates()
-	if int64(len(states)) != misses {
-		t.Errorf("%d interned states but %d cache misses (must be 1:1)", len(states), misses)
-	}
-	uniq := gf2.NewVecSet()
-	for _, st := range states {
-		if _, existed := uniq.Add(st.part); existed {
-			t.Fatal("one content interned twice across stripes")
-		}
-		if st.size != st.part.PopCount() {
-			t.Errorf("state size %d != popcount %d", st.size, st.part.PopCount())
-		}
-	}
-	// Every filled stat must match a from-scratch serial scan: concurrent
-	// fills may race, but both racers compute the same integers, so the
-	// committed values are exact.
-	audited := 0
-	for _, st := range states {
-		if !st.statsReady.Load() {
-			continue
-		}
-		wantX, wantCells := 0, 0
-		if st.size > 0 {
-			for _, c := range cells {
-				if c.Patterns.PopCountAnd(st.part) == st.size {
-					wantX += st.size
-					wantCells++
-				}
-			}
-		}
-		if st.maskedX != wantX || st.maskCells != wantCells {
-			t.Errorf("stats (%d, %d) != serial recompute (%d, %d)",
-				st.maskedX, st.maskCells, wantX, wantCells)
-		}
-		audited++
-	}
-	if audited == 0 {
-		t.Fatal("stress run filled no stats; the test exercised nothing")
+	if got := snap.CounterValue("core.groups.cache.misses"); got != int64(len(states)) {
+		t.Errorf("%d groupings for %d states", got, len(states))
 	}
 }
 
-// TestGreedyPlanIdenticalUnderStress pins the tentpole guarantee at the Run
-// level: with the interner striped and the memos once-guarded, a fully
-// parallel greedy run produces a byte-identical result to the serial one.
+// TestGreedyPlanIdenticalUnderStress pins the engine's determinism at the
+// Run level: with the memos once-guarded and the split gains published only
+// after each fan-out, a fully parallel greedy run produces a byte-identical
+// result to the serial one.
 // (TestRunDeterministicAcrossWorkers covers every strategy on small maps;
 // this one runs the greedy selector on a scaled industrial profile, where
 // candidate scoring actually fans out.)

@@ -63,24 +63,13 @@ func TestHashLengthSensitive(t *testing.T) {
 	}
 }
 
-// HashAnd/HashAndNot must equal Hash of the materialized result, and the
-// EqualAnd/EqualAndNot probes must agree with materialized Equal.
+// HashAnd must equal Hash of the materialized intersection.
 func TestHashAndVariantsMatchMaterialized(t *testing.T) {
 	f := func(seed int64, nRaw uint16) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + int(nRaw)%300
 		a, b := randVec(r, n), randVec(r, n)
-		and := a.Clone()
-		and.And(b)
-		andNot := a.Clone()
-		andNot.AndNot(b)
-		if a.HashAnd(b) != and.Hash() || a.HashAndNot(b) != andNot.Hash() {
-			return false
-		}
-		probe := randVec(r, n)
-		return probe.EqualAnd(a, b) == probe.Equal(and) &&
-			probe.EqualAndNot(a, b) == probe.Equal(andNot) &&
-			and.EqualAnd(a, b) && andNot.EqualAndNot(a, b)
+		return a.HashAnd(b) == AndOf(a, b).Hash()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -101,21 +90,11 @@ func TestVecSetDedup(t *testing.T) {
 	if id, existed := s.Add(b); id != 1 || existed {
 		t.Fatalf("second Add = (%d,%t), want (1,false)", id, existed)
 	}
-	// a & b = 0010; a &^ b = 1000.
-	if id, existed := s.AddAndWithHash(a.HashAnd(b), a, b); id != 2 || existed {
-		t.Fatalf("AddAndWithHash = (%d,%t), want (2,false)", id, existed)
+	if got := s.Vec(1); !got.Equal(ParseVec("0110")) {
+		t.Fatalf("Vec(1) = %v, want 0110", got)
 	}
-	if id, existed := s.AddAndWithHash(a.HashAnd(b), a, b); id != 2 || !existed {
-		t.Fatalf("repeat AddAndWithHash = (%d,%t), want (2,true)", id, existed)
-	}
-	if id, existed := s.AddAndNotWithHash(a.HashAndNot(b), a, b); id != 3 || existed {
-		t.Fatalf("AddAndNotWithHash = (%d,%t), want (3,false)", id, existed)
-	}
-	if got := s.Vec(2); !got.Equal(ParseVec("0010")) {
-		t.Fatalf("Vec(2) = %v, want 0010", got)
-	}
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", s.Len())
+	if s.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", s.Len())
 	}
 }
 
@@ -142,19 +121,6 @@ func TestVecSetCollisionPathStillDedups(t *testing.T) {
 		if !existed || !s.Vec(id).Equal(v) {
 			t.Fatalf("forced-collision set lost vector %v", v)
 		}
-	}
-	// Derived inserts share the same single chain and must still dedup.
-	a, b := vecs[0], vecs[1]
-	idAnd, _ := s.AddAndWithHash(h, a, b)
-	if id, existed := s.AddAndWithHash(h, a, b); id != idAnd || !existed {
-		t.Fatal("AddAndWithHash not idempotent under forced collisions")
-	}
-	idNot, _ := s.AddAndNotWithHash(h, a, b)
-	if id, existed := s.AddAndNotWithHash(h, a, b); id != idNot || !existed {
-		t.Fatal("AddAndNotWithHash not idempotent under forced collisions")
-	}
-	if !s.Vec(idAnd).Equal(AndOf(a, b)) || !s.Vec(idNot).Equal(AndNotOf(a, b)) {
-		t.Fatal("derived inserts stored the wrong vectors under forced collisions")
 	}
 }
 

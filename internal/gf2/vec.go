@@ -335,59 +335,6 @@ func (v Vec) HashAnd(u Vec) uint64 {
 	return h
 }
 
-// HashAndNot returns Hash of (v &^ u) without materializing the difference.
-// The vectors must have equal length.
-func (v Vec) HashAndNot(u Vec) uint64 {
-	v.checkLen(u)
-	h := hashMix(uint64(v.n) ^ hashSeed)
-	for i, w := range u.words {
-		h = hashMix(h ^ (v.words[i] &^ w))
-	}
-	return h
-}
-
-// HashPair returns HashAnd(v, u) and HashAndNot(v, u) from one fused pass:
-// both derived words come from the same two source words, so computing the
-// two hashes together touches memory once instead of twice. Used by the
-// split-state interner, which always probes for both sides of a split.
-func (v Vec) HashPair(u Vec) (hAnd, hAndNot uint64) {
-	v.checkLen(u)
-	hAnd = hashMix(uint64(v.n) ^ hashSeed)
-	hAndNot = hAnd
-	for i, w := range u.words {
-		vw := v.words[i]
-		hAnd = hashMix(hAnd ^ (vw & w))
-		hAndNot = hashMix(hAndNot ^ (vw &^ w))
-	}
-	return hAnd, hAndNot
-}
-
-// EqualAnd reports whether v == (a & b) without materializing the
-// intersection. All three vectors must have equal length.
-func (v Vec) EqualAnd(a, b Vec) bool {
-	v.checkLen(a)
-	v.checkLen(b)
-	for i, w := range v.words {
-		if w != a.words[i]&b.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// EqualAndNot reports whether v == (a &^ b) without materializing the
-// difference. All three vectors must have equal length.
-func (v Vec) EqualAndNot(a, b Vec) bool {
-	v.checkLen(a)
-	v.checkLen(b)
-	for i, w := range v.words {
-		if w != a.words[i]&^b.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // hashSeed domain-separates Vec hashes from plain splitmix64 streams.
 const hashSeed = 0x9e3779b97f4a7c15
 

@@ -4,13 +4,11 @@ package gf2
 // vector a dense id (0, 1, 2, ... in first-insertion order). It replaces
 // the Vec.String()-keyed maps of earlier designs: keys are 64-bit content
 // hashes (Vec.Hash) verified with word-level equality on hash collisions,
-// so no per-insert string or bucket slice is ever allocated. The
-// AddAndWithHash/AddAndNotWithHash variants probe for a derived vector
-// (a&b, a&^b) without materializing it unless it turns out to be new.
+// so no per-insert string or bucket slice is ever allocated.
 //
 // The zero value is not usable; call NewVecSet. VecSet is not safe for
 // concurrent use; callers that share one across goroutines must serialize
-// access (internal/core's evaluator wraps it in a mutex).
+// access.
 type VecSet struct {
 	// heads maps a content hash to the newest id carrying it, and next[id]
 	// chains each id to the previous id with the same hash (-1 ends the
@@ -39,10 +37,8 @@ func (s *VecSet) Add(v Vec) (id int, existed bool) {
 	return s.AddWithHash(v.Hash(), v)
 }
 
-// AddWithHash is Add with the content hash already in hand — callers that
-// also use the hash to pick a lock stripe (internal/core's sharded state
-// interner) pay for one hash pass instead of two. Equal vectors must be
-// given equal hashes (v.Hash(), or any function of the content); a
+// AddWithHash is Add with the content hash already in hand. Equal vectors
+// must be given equal hashes (v.Hash(), or any function of the content); a
 // mismatched hash silently duplicates entries.
 func (s *VecSet) AddWithHash(h uint64, v Vec) (id int, existed bool) {
 	for j := s.chain(h); j >= 0; j = s.next[j] {
@@ -51,31 +47,6 @@ func (s *VecSet) AddWithHash(h uint64, v Vec) (id int, existed bool) {
 		}
 	}
 	return s.insert(h, v), false
-}
-
-// AddAndWithHash inserts (a & b), materializing the intersection only when
-// it is not already present, and returns its dense id. h is the derived
-// vector's hash (a.HashAnd(b), or one side of Vec.HashPair); same contract
-// as AddWithHash.
-func (s *VecSet) AddAndWithHash(h uint64, a, b Vec) (id int, existed bool) {
-	for j := s.chain(h); j >= 0; j = s.next[j] {
-		if s.vecs[j].EqualAnd(a, b) {
-			return int(j), true
-		}
-	}
-	return s.insert(h, AndOf(a, b)), false
-}
-
-// AddAndNotWithHash inserts (a &^ b), materializing the difference only
-// when it is not already present, and returns its dense id. h is the
-// derived vector's hash (a.HashAndNot(b)); same contract as AddWithHash.
-func (s *VecSet) AddAndNotWithHash(h uint64, a, b Vec) (id int, existed bool) {
-	for j := s.chain(h); j >= 0; j = s.next[j] {
-		if s.vecs[j].EqualAndNot(a, b) {
-			return int(j), true
-		}
-	}
-	return s.insert(h, AndNotOf(a, b)), false
 }
 
 // chain returns the newest id stored under hash h, or -1.

@@ -340,7 +340,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 // TestIncrementalCountersInMetrics checks the incremental scoring engine's
 // cache and delta counters flow through the server's shared recorder into
 // /metrics, and that a real run actually engages them — the state cache must
-// record misses (fresh partitions were interned) and splits must be priced
+// record misses (splits priced by a bounded scan) and splits must be priced
 // by delta, not full recomputation.
 func TestIncrementalCountersInMetrics(t *testing.T) {
 	s := newTestServer(t, Config{})
@@ -373,7 +373,7 @@ func TestIncrementalCountersInMetrics(t *testing.T) {
 		metric(name)
 	}
 	if v := metric("xhybridd_core_state_cache_misses"); v == 0 {
-		t.Error("state cache recorded no misses; a run must intern fresh partitions")
+		t.Error("state cache recorded no misses; a run must scan the splits it prices")
 	}
 	if v := metric("xhybridd_core_score_delta"); v == 0 {
 		t.Error("no delta-priced scores; splits should not be fully recomputed")
