@@ -427,7 +427,7 @@ func BenchmarkEndToEndFlow(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := flow.VerifyResponses(prog, xb.Responses); err != nil {
+		if _, err := flow.VerifyPacked(prog, xb.Packed); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -494,20 +494,32 @@ func BenchmarkTesterSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkCompactor measures spatial compaction of a full response.
+// BenchmarkCompactor measures spatial compaction of one 64-pattern block of
+// packed responses into the patterns' per-cycle MISR input words.
 func BenchmarkCompactor(b *testing.B) {
 	geom := scan.MustGeometry(128, 64)
 	r := rand.New(rand.NewSource(1))
-	resp := scan.NewResponse(geom)
-	for c := 0; c < geom.Chains; c++ {
-		for p := 0; p < geom.ChainLen; p++ {
-			resp.Set(c, p, logic.V(r.Intn(2)))
+	set := scan.NewResponseSet(geom)
+	for p := 0; p < 64; p++ {
+		resp := scan.NewResponse(geom)
+		for c := range resp.Values {
+			resp.Values[c] = logic.V(r.Intn(2))
+		}
+		if err := set.Append(resp); err != nil {
+			b.Fatal(err)
 		}
 	}
+	packed, err := set.Pack()
+	if err != nil {
+		b.Fatal(err)
+	}
 	tree := compactor.MustModulo(128, 32)
+	known := make([]uint64, 64*geom.ChainLen)
+	xs := make([]uint64, len(known))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tree.CompactResponse(resp); err != nil {
+		var counts compactor.FoldCounts
+		if err := tree.FoldBlock(packed, 0, nil, known, xs, &counts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,7 +5,7 @@
 //
 // Every lane's plan is verified before it may score: the plan is replayed
 // through the real hardware models (mask stage → spatial compactor →
-// X-canceling MISR, flow.VerifyResponses), and on narrow geometries
+// X-canceling MISR, flow.VerifyPacked), and on narrow geometries
 // (chains <= 64, where the response-level canceler can take one input per
 // chain) additionally through the partitioned canceler, whose observed X
 // count must equal the plan's accounted ResidualX exactly. Unverified lanes
@@ -41,14 +41,14 @@ import (
 	"xhybrid/internal/xmap"
 )
 
-// input is one prepared workload: the X-map, its geometry, the response
-// set the verification replays, and the canceling configuration every lane
-// runs under.
+// input is one prepared workload: the X-map, its geometry, the packed
+// response set the verification replays, and the canceling configuration
+// every lane runs under.
 type input struct {
 	name      string
 	m         *xmap.XMap
 	geom      scan.Geometry
-	responses *scan.ResponseSet
+	responses *scan.PackedResponses
 	mSize, q  int
 }
 
@@ -183,8 +183,8 @@ func parseLanes(arg string) ([]core.Strategy, error) {
 
 // prepare materializes a workload by name: synthetic profiles get
 // pseudo-responses synthesized from their X-map (seed 7, the residual
-// test's convention); flow specs run the real circuit pipeline and race
-// over the simulated responses.
+// test's convention) and packed; flow specs run the real circuit pipeline
+// and race over its packed responses.
 func prepare(name string) (*input, error) {
 	if spec, ok := flowSpecs[name]; ok {
 		xb, err := flow.BuildXMap(context.Background(), spec)
@@ -192,7 +192,7 @@ func prepare(name string) (*input, error) {
 			return nil, fmt.Errorf("stratbench: %s: %w", name, err)
 		}
 		return &input{name: name, m: xb.XMap, geom: xb.Geom,
-			responses: xb.Responses, mSize: spec.MISRSize, q: spec.Q}, nil
+			responses: xb.Packed, mSize: spec.MISRSize, q: spec.Q}, nil
 	}
 	prof, err := workload.ByName(name)
 	if err != nil {
@@ -207,7 +207,11 @@ func prepare(name string) (*input, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stratbench: %s: %w", name, err)
 	}
-	return &input{name: name, m: m, geom: geom, responses: set,
+	packed, err := set.Pack()
+	if err != nil {
+		return nil, fmt.Errorf("stratbench: %s: %w", name, err)
+	}
+	return &input{name: name, m: m, geom: geom, responses: packed,
 		mSize: min(32, geom.Chains), q: 7}, nil
 }
 
@@ -265,7 +269,7 @@ func verify(in *input, res *core.Result) (verified, exact bool, errMsg string) {
 	if err != nil {
 		return false, false, "assemble: " + err.Error()
 	}
-	vr, err := flow.VerifyResponses(prog, in.responses)
+	vr, err := flow.VerifyPacked(prog, in.responses)
 	if err != nil {
 		return false, false, "replay: " + err.Error()
 	}
@@ -276,17 +280,19 @@ func verify(in *input, res *core.Result) (verified, exact bool, errMsg string) {
 		return true, false, ""
 	}
 	// Narrow geometry: the response-level canceler can observe every chain
-	// directly, so its X count must match the accounting bit for bit.
+	// directly, so its X count must match the accounting bit for bit. It
+	// takes the responses a byte per cell.
+	responses := in.responses.Unpack()
 	sets := make([]xcancel.PatternSet, len(res.Partitions))
 	for i, p := range res.Partitions {
 		sets[i] = p.Patterns
 	}
-	subs, err := xcancel.SplitByPartition(in.responses, sets)
+	subs, err := xcancel.SplitByPartition(responses, sets)
 	if err != nil {
 		return false, false, "split: " + err.Error()
 	}
 	for i, sub := range subs {
-		masked := scan.NewResponseSet(in.responses.Geom)
+		masked := scan.NewResponseSet(responses.Geom)
 		for _, resp := range sub.Responses {
 			if err := masked.Append(res.Partitions[i].Mask.Apply(resp)); err != nil {
 				return false, false, "mask: " + err.Error()

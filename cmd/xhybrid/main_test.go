@@ -128,6 +128,18 @@ func TestVerifyQReachesSpec(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsNegativeClusters: a negative -xclusters exits 1 with the
+// flow spec's validation message instead of crashing in the generator.
+func TestVerifyRejectsNegativeClusters(t *testing.T) {
+	_, stderr, code := runCLI(t, "verify", "-cells", "64", "-chains", "8", "-m", "8", "-xclusters", "-1")
+	if code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	if want := "xhybrid: flow: negative X cluster count -1\n"; stderr != want {
+		t.Fatalf("stderr %q, want %q", stderr, want)
+	}
+}
+
 // TestVerifyRejectsWideMISR: an -m wider than -chains exits 1 with the
 // flow spec's validation message before any stage runs.
 func TestVerifyRejectsWideMISR(t *testing.T) {

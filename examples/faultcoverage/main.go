@@ -55,7 +55,7 @@ func main() {
 	}
 	ckt, xm := xb.Circuit, xb.XMap
 	fmt.Printf("circuit %s: %d gates, %d scan cells; %d patterns, %d X's (density %s)\n",
-		ckt.Name, ckt.NumGates(), len(ckt.ScanCells), xb.Responses.Patterns(), xm.TotalX(),
+		ckt.Name, ckt.NumGates(), len(ckt.ScanCells), xm.Patterns(), xm.TotalX(),
 		report.Percent(xm.Density()))
 
 	// Hybrid plan over the measured X-map.
@@ -74,7 +74,7 @@ func main() {
 	lossyParts, lost := lossyMasks(xm, res, *lossyFrac)
 	fmt.Printf("lossy threshold mask (frac=%.2f): destroys %d observable captures\n", *lossyFrac, lost)
 
-	// The fault-free blocks the responses were unpacked from. One PPSFP
+	// The fault-free blocks the responses were gathered from. One PPSFP
 	// pass scores all three observability predicates from the same faulty
 	// captures.
 	faults := fault.Sample(fault.AllFaults(ckt), *nFaults, *seed)

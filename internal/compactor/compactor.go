@@ -10,11 +10,12 @@
 //
 // A tree has at most 64 outputs, the widest MISR, so one shift cycle's
 // output fits a pair of words: the X plane and the known-value plane (see
-// Fold).
+// FoldBlock).
 package compactor
 
 import (
 	"fmt"
+	"math/bits"
 
 	"xhybrid/internal/gf2"
 	"xhybrid/internal/logic"
@@ -81,66 +82,70 @@ func (t *XORTree) Apply(slice logic.Vector) (logic.Vector, error) {
 	return out, nil
 }
 
-// CompactResponse compacts a full response into the per-cycle MISR input
-// slices (ChainLen slices of width Outputs). It is Fold with nothing masked,
-// unpacked.
-func (t *XORTree) CompactResponse(r scan.Response) ([]logic.Vector, error) {
-	known := make([]uint64, r.Geom.ChainLen)
-	xs := make([]uint64, r.Geom.ChainLen)
-	if err := t.Fold(r, gf2.Vec{}, known, xs); err != nil {
-		return nil, err
-	}
-	out := make([]logic.Vector, len(known))
-	for cyc := range out {
-		v := make(logic.Vector, t.outputs)
-		for o := range v {
-			v[o] = logic.V(known[cyc]>>uint(o)&1 | (xs[cyc]>>uint(o)&1)<<1)
-		}
-		out[cyc] = v
-	}
-	return out, nil
+// FoldCounts tallies what folds removed and what reached the MISR.
+type FoldCounts struct {
+	// MaskedX and ObservableMasked count the X and the known captures in
+	// masked lanes.
+	MaskedX, ObservableMasked int
+	// ResidualX counts the X outputs presented to the MISR.
+	ResidualX int
 }
 
-// Fold compacts a response into per-shift-cycle bit-planes: after the call,
-// bit o of xs[t] is set iff output o is X in cycle t, and bit o of known[t]
-// is output o's known value (the XOR of its inputs; zero where X). Cells set
-// in masked are forced to 0 first, as the mask stage's AND gates do; an
-// empty masked vector masks nothing. known and xs need ChainLen words.
+// FoldBlock compacts block b of a packed response set into per-pattern MISR
+// input words. For each pattern p of the block and shift cycle t, bit o of
+// xs[p*ChainLen+t] is set iff output o is X in that cycle, and bit o of
+// known[p*ChainLen+t] is output o's known value (zero where X); known and
+// xs need a word per pattern of the set per cycle. Lanes set in
+// mask[cell] are forced to 0 first, as the mask stage's AND gates do; a nil
+// mask masks nothing. The block's counts are added to c.
 //
-// The logic encoding does the plane split without branches: One (1) and
-// X (2) put their value's low bit on the known plane and its high bit on
-// the X plane.
-func (t *XORTree) Fold(r scan.Response, masked gf2.Vec, known, xs []uint64) error {
-	g := r.Geom
+// For each cycle and output, the known word is the XOR of the group's
+// capture words at that cycle and the X word their OR, for 64 patterns at
+// once. One Transpose64 per plane turns those output words into the
+// patterns' input words.
+func (t *XORTree) FoldBlock(set *scan.PackedResponses, b int, mask, known, xs []uint64, c *FoldCounts) error {
+	g := set.Geom
 	if g.Chains != len(t.group) {
 		return fmt.Errorf("compactor: response has %d chains, tree has %d", g.Chains, len(t.group))
 	}
-	if len(r.Values) != g.Cells() {
-		return fmt.Errorf("compactor: response has %d values, want %d", len(r.Values), g.Cells())
+	if b < 0 || b >= set.Blocks() {
+		return fmt.Errorf("compactor: block %d of %d", b, set.Blocks())
 	}
-	if masked.Len() != 0 && masked.Len() != g.Cells() {
-		return fmt.Errorf("compactor: mask width %d vs %d cells", masked.Len(), g.Cells())
+	if mask != nil && len(mask) != g.Cells() {
+		return fmt.Errorf("compactor: %d mask lane words for %d cells", len(mask), g.Cells())
 	}
-	if len(known) < g.ChainLen || len(xs) < g.ChainLen {
-		return fmt.Errorf("compactor: %d/%d plane words for %d shift cycles", len(known), len(xs), g.ChainLen)
+	if words := set.Patterns() * g.ChainLen; len(known) < words || len(xs) < words {
+		return fmt.Errorf("compactor: %d/%d input words for %d patterns of %d shift cycles", len(known), len(xs), set.Patterns(), g.ChainLen)
 	}
-	known, xs = known[:g.ChainLen], xs[:g.ChainLen]
-	clear(known)
-	clear(xs)
-	next := masked.NextSet(0)
-	for c, o := range t.group {
-		base := c * g.ChainLen
-		for cyc, v := range r.Values[base : base+g.ChainLen] {
-			if base+cyc == next {
-				next = masked.NextSet(next + 1)
-				continue
+	one, x := set.Block(b)
+	base := 64 * b * g.ChainLen
+	n := set.BlockPatterns(b)
+	var kw, xw [64]uint64
+	for cyc := 0; cyc < g.ChainLen; cyc++ {
+		kw, xw = [64]uint64{}, [64]uint64{}
+		for ch, o := range t.group {
+			cell := ch*g.ChainLen + cyc
+			on, xv := one[cell], x[cell]
+			if mask != nil {
+				if ml := mask[cell]; ml != 0 {
+					c.MaskedX += bits.OnesCount64(xv & ml)
+					c.ObservableMasked += bits.OnesCount64(ml &^ xv)
+					on &^= ml
+					xv &^= ml
+				}
 			}
-			known[cyc] ^= uint64(v&1) << uint(o)
-			xs[cyc] |= uint64(v>>1) << uint(o)
+			kw[o&63] ^= on
+			xw[o&63] |= xv
 		}
-	}
-	for cyc, x := range xs {
-		known[cyc] &^= x
+		for _, w := range xw[:t.outputs] {
+			c.ResidualX += bits.OnesCount64(w)
+		}
+		gf2.Transpose64(&kw)
+		gf2.Transpose64(&xw)
+		for k, i := 0, base+cyc; k < n; k, i = k+1, i+g.ChainLen {
+			known[i] = kw[k] &^ xw[k]
+			xs[i] = xw[k]
+		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package compactor
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -116,7 +117,35 @@ func TestIdentityTree(t *testing.T) {
 	}
 }
 
-func TestCompactResponseAndXCount(t *testing.T) {
+// packOf packs byte responses, failing the test on error.
+func packOf(t *testing.T, set *scan.ResponseSet) *scan.PackedResponses {
+	t.Helper()
+	p, err := set.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// foldAll folds every block of the set under the per-block mask lanes
+// (nil masks nothing) and returns the per-pattern input words.
+func foldAll(t *testing.T, tr *XORTree, set *scan.PackedResponses, lanes func(b int) []uint64) (known, xs []uint64, c FoldCounts) {
+	t.Helper()
+	known = make([]uint64, set.Patterns()*set.Geom.ChainLen)
+	xs = make([]uint64, len(known))
+	for b := 0; b < set.Blocks(); b++ {
+		var mask []uint64
+		if lanes != nil {
+			mask = lanes(b)
+		}
+		if err := tr.FoldBlock(set, b, mask, known, xs, &c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return known, xs, c
+}
+
+func TestFoldCountsFoldedX(t *testing.T) {
 	g := scan.MustGeometry(4, 3)
 	r := scan.NewResponse(g)
 	for c := 0; c < 4; c++ {
@@ -127,31 +156,118 @@ func TestCompactResponseAndXCount(t *testing.T) {
 	r.Set(0, 0, logic.X) // cycle 0, output 0
 	r.Set(2, 0, logic.X) // cycle 0, output 0 too: folds into ONE X
 	r.Set(1, 2, logic.X) // cycle 2, output 1
-	tr := MustModulo(4, 2)
-	slices, err := tr.CompactResponse(r)
-	if err != nil {
+	set := scan.NewResponseSet(g)
+	if err := set.Append(r); err != nil {
 		t.Fatal(err)
 	}
-	if len(slices) != 3 || len(slices[0]) != 2 {
-		t.Fatal("slice dims wrong")
+	tr := MustModulo(4, 2)
+	known, xs, c := foldAll(t, tr, packOf(t, set), nil)
+	if want := []uint64{1, 0, 2}; xs[0] != want[0] || xs[1] != want[1] || xs[2] != want[2] {
+		t.Fatalf("X words %v, want %v", xs, want)
 	}
-	n := 0
-	for _, s := range slices {
-		n += s.CountX()
+	if known[0]|known[1]|known[2] != 0 {
+		t.Fatalf("known words %v, want all zero", known)
 	}
-	if n != 2 {
-		t.Fatalf("compacted X count = %d, want 2 (two X's fold into one output)", n)
-	}
-	// Geometry mismatch errors.
-	if _, err := tr.CompactResponse(scan.NewResponse(scan.MustGeometry(3, 3))); err != nil {
-		// expected
-	} else {
-		t.Fatal("accepted mismatched response")
+	if c.ResidualX != 2 {
+		t.Fatalf("compacted X count = %d, want 2 (two X's fold into one output)", c.ResidualX)
 	}
 }
 
-// TestFoldMatchesApply: folding a response under a mask gives, cycle by
-// cycle, what Apply gives for the shift slices of the response with its
+// refFold is the per-value reference for FoldBlock: pattern by pattern it
+// folds a byte response into per-cycle words, skipping the cells masked
+// holds, and counts the masked X and known captures.
+func refFold(tr *XORTree, r scan.Response, masked gf2.Vec, known, xs []uint64, c *FoldCounts) {
+	g := r.Geom
+	for ch := 0; ch < g.Chains; ch++ {
+		o := uint(tr.Group(ch))
+		for cyc := 0; cyc < g.ChainLen; cyc++ {
+			cell := ch*g.ChainLen + cyc
+			v := r.Values[cell]
+			if masked.Len() != 0 && masked.Get(cell) {
+				if v == logic.X {
+					c.MaskedX++
+				} else {
+					c.ObservableMasked++
+				}
+				continue
+			}
+			known[cyc] ^= uint64(v&1) << o
+			xs[cyc] |= uint64(v>>1) << o
+		}
+	}
+	for cyc := range xs {
+		known[cyc] &^= xs[cyc]
+	}
+}
+
+// TestFoldMatchesByteReference folds random packed responses under random
+// per-pattern masks and checks every pattern's words and the counts
+// against refFold: MISR widths 13 to 64, chain counts that are and are not
+// multiples of them, and pattern counts around the 64-lane block edges.
+func TestFoldMatchesByteReference(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	var total FoldCounts
+	for _, m := range []int{13, 16, 24, 32, 64} {
+		for _, chains := range []int{m, 2 * m, 2*m + 5, 3*m - 1} {
+			for _, n := range []int{1, 63, 64, 65, 129} {
+				g := scan.MustGeometry(chains, 1+r.Intn(6))
+				set := scan.NewResponseSet(g)
+				masks := make([]gf2.Vec, n)
+				for p := 0; p < n; p++ {
+					resp := scan.NewResponse(g)
+					for c := range resp.Values {
+						resp.Values[c] = logic.V(r.Intn(3))
+					}
+					if err := set.Append(resp); err != nil {
+						t.Fatal(err)
+					}
+					if p%3 != 1 {
+						masks[p] = gf2.NewVec(g.Cells())
+						for c := 0; c < g.Cells(); c++ {
+							if r.Intn(4) == 0 {
+								masks[p].Set(c)
+							}
+						}
+					}
+				}
+				lanes := func(b int) []uint64 {
+					w := make([]uint64, g.Cells())
+					for k := 0; k < 64 && 64*b+k < n; k++ {
+						masks[64*b+k].ForEach(func(c int) { w[c] |= 1 << uint(k) })
+					}
+					return w
+				}
+				tr := MustModulo(chains, m)
+				known, xs, got := foldAll(t, tr, packOf(t, set), lanes)
+				var want FoldCounts
+				for p, resp := range set.Responses {
+					wk := make([]uint64, g.ChainLen)
+					wx := make([]uint64, g.ChainLen)
+					refFold(tr, resp, masks[p], wk, wx, &want)
+					for cyc := range wk {
+						want.ResidualX += bits.OnesCount64(wx[cyc])
+						i := p*g.ChainLen + cyc
+						if known[i] != wk[cyc] || xs[i] != wx[cyc] {
+							t.Fatalf("m=%d chains=%d n=%d pattern %d cycle %d: fold %#x/%#x, reference %#x/%#x",
+								m, chains, n, p, cyc, known[i], xs[i], wk[cyc], wx[cyc])
+						}
+					}
+				}
+				if got != want {
+					t.Fatalf("m=%d chains=%d n=%d: counts %+v, reference %+v", m, chains, n, got, want)
+				}
+				total.MaskedX += got.MaskedX
+				total.ObservableMasked += got.ObservableMasked
+			}
+		}
+	}
+	if total.MaskedX == 0 || total.ObservableMasked == 0 {
+		t.Fatalf("masks removed %d X's and %d known values; the mask check is vacuous", total.MaskedX, total.ObservableMasked)
+	}
+}
+
+// TestFoldMatchesApply: folding responses under masks gives, cycle by
+// cycle, what Apply gives for the shift slices of each response with its
 // masked cells forced to 0, and nothing above the tree's outputs.
 func TestFoldMatchesApply(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
@@ -159,39 +275,52 @@ func TestFoldMatchesApply(t *testing.T) {
 		chains := 1 + r.Intn(100)
 		outputs := 1 + r.Intn(min(chains, 64))
 		g := scan.MustGeometry(chains, 1+r.Intn(20))
-		resp := scan.NewResponse(g)
-		for c := range resp.Values {
-			resp.Values[c] = logic.V(r.Intn(3))
-		}
-		var mask gf2.Vec
+		n := 1 + r.Intn(70)
+		set := scan.NewResponseSet(g)
+		var lanes []uint64
 		if trial%4 != 0 {
-			mask = gf2.NewVec(g.Cells())
-			for c := 0; c < g.Cells(); c++ {
-				if r.Intn(5) == 0 {
-					mask.Set(c)
+			lanes = make([]uint64, g.Cells()*((n+63)/64))
+		}
+		masked := make([]scan.Response, n)
+		for p := 0; p < n; p++ {
+			resp := scan.NewResponse(g)
+			for c := range resp.Values {
+				resp.Values[c] = logic.V(r.Intn(3))
+			}
+			if err := set.Append(resp); err != nil {
+				t.Fatal(err)
+			}
+			masked[p] = resp.Clone()
+			if lanes != nil {
+				for c := 0; c < g.Cells(); c++ {
+					if r.Intn(5) == 0 {
+						lanes[p/64*g.Cells()+c] |= 1 << uint(p%64)
+						masked[p].Values[c] = logic.Zero
+					}
 				}
 			}
 		}
 		tr := MustModulo(chains, outputs)
-		known := make([]uint64, g.ChainLen)
-		xs := make([]uint64, g.ChainLen)
-		if err := tr.Fold(resp, mask, known, xs); err != nil {
-			t.Fatal(err)
+		var laneOf func(b int) []uint64
+		if lanes != nil {
+			laneOf = func(b int) []uint64 { return lanes[b*g.Cells() : (b+1)*g.Cells()] }
 		}
-		masked := resp.Clone()
-		mask.ForEach(func(c int) { masked.Values[c] = logic.Zero })
-		for cyc := 0; cyc < g.ChainLen; cyc++ {
-			want, err := tr.Apply(masked.Slice(cyc))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for o, v := range want {
-				if got := logic.V(known[cyc]>>uint(o)&1 | (xs[cyc]>>uint(o)&1)<<1); got != v {
-					t.Fatalf("trial %d cycle %d output %d: fold %v, Apply %v", trial, cyc, o, got, v)
+		known, xs, _ := foldAll(t, tr, packOf(t, set), laneOf)
+		for p := 0; p < n; p++ {
+			for cyc := 0; cyc < g.ChainLen; cyc++ {
+				want, err := tr.Apply(masked[p].Slice(cyc))
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if (known[cyc]|xs[cyc])>>uint(outputs) != 0 {
-				t.Fatalf("trial %d cycle %d: planes %#x/%#x set bits above %d outputs", trial, cyc, known[cyc], xs[cyc], outputs)
+				i := p*g.ChainLen + cyc
+				for o, v := range want {
+					if got := logic.V(known[i]>>uint(o)&1 | (xs[i]>>uint(o)&1)<<1); got != v {
+						t.Fatalf("trial %d pattern %d cycle %d output %d: fold %v, Apply %v", trial, p, cyc, o, got, v)
+					}
+				}
+				if (known[i]|xs[i])>>uint(outputs) != 0 {
+					t.Fatalf("trial %d pattern %d cycle %d: words %#x/%#x set bits above %d outputs", trial, p, cyc, known[i], xs[i], outputs)
+				}
 			}
 		}
 	}
@@ -199,17 +328,22 @@ func TestFoldMatchesApply(t *testing.T) {
 
 func TestFoldValidation(t *testing.T) {
 	tr := MustModulo(4, 2)
-	resp := scan.NewResponse(scan.MustGeometry(4, 3))
-	planes := func(n int) ([]uint64, []uint64) { return make([]uint64, n), make([]uint64, n) }
-	known, xs := planes(3)
-	if err := tr.Fold(resp, gf2.NewVec(11), known, xs); err == nil {
-		t.Fatal("accepted a mask narrower than the response")
+	g := scan.MustGeometry(4, 3)
+	set := scan.NewPackedResponses(g, 2)
+	words := func(n int) ([]uint64, []uint64) { return make([]uint64, n), make([]uint64, n) }
+	known, xs := words(6)
+	var c FoldCounts
+	if err := tr.FoldBlock(set, 0, make([]uint64, 11), known, xs, &c); err == nil {
+		t.Fatal("accepted mask lanes narrower than the cells")
 	}
-	if err := tr.Fold(scan.NewResponse(scan.MustGeometry(3, 3)), gf2.Vec{}, known, xs); err == nil {
-		t.Fatal("accepted a response with other chains")
+	if err := tr.FoldBlock(scan.NewPackedResponses(scan.MustGeometry(3, 3), 2), 0, nil, known, xs, &c); err == nil {
+		t.Fatal("accepted responses with other chains")
 	}
-	known, xs = planes(2)
-	if err := tr.Fold(resp, gf2.Vec{}, known, xs); err == nil {
-		t.Fatal("accepted planes shorter than the chains")
+	if err := tr.FoldBlock(set, 1, nil, known, xs, &c); err == nil {
+		t.Fatal("accepted a block past the set")
+	}
+	known, xs = words(5)
+	if err := tr.FoldBlock(set, 0, nil, known, xs, &c); err == nil {
+		t.Fatal("accepted input words short of patterns x cycles")
 	}
 }

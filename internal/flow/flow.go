@@ -18,7 +18,6 @@ import (
 
 	"xhybrid/internal/compactor"
 	"xhybrid/internal/core"
-	"xhybrid/internal/logic"
 	"xhybrid/internal/obs"
 	"xhybrid/internal/scan"
 	"xhybrid/internal/tester"
@@ -178,15 +177,31 @@ type VerifyReport struct {
 	Violation error
 }
 
-// VerifyResponses replays the full response set through the program's
-// hardware models and holds the replay to the plan's accounting, setting
+// VerifyResponses replays a response set held one byte per cell per
+// pattern: it packs the set and runs VerifyPacked.
+func VerifyResponses(prog *Program, set *scan.ResponseSet) (*VerifyReport, error) {
+	packed, err := set.Pack()
+	if err != nil {
+		return nil, err
+	}
+	return VerifyPacked(prog, packed)
+}
+
+// VerifyPacked replays the full response set through the program's hardware
+// models and holds the replay to the plan's accounting, setting
 // VerifyReport.Violation. The responses' geometry must match the program,
 // and its partitions must hold each response's pattern exactly once, in a
 // pattern order that applies every pattern once; the compactor folds the
 // chains onto the MISR inputs. The cycle/pattern counters land on prog.Obs
-// when set; the caller owns the replay's span. A non-nil error means the
+// when set, with two spans inside the caller's replay span:
+// flow.replay.fold (mask lanes, compactor fold, transposes) and
+// flow.replay.cancel (shifting, halts, finish). A non-nil error means the
 // replay could not run at all.
-func VerifyResponses(prog *Program, set *scan.ResponseSet) (*VerifyReport, error) {
+//
+// The mask stage and the compactor run 64 patterns at a time: each block
+// of the set folds into every pattern's per-cycle MISR input words, which
+// the canceler then shifts in PatternOrder.
+func VerifyPacked(prog *Program, set *scan.PackedResponses) (*VerifyReport, error) {
 	if set.Geom != prog.Geom {
 		return nil, fmt.Errorf("flow: response geometry %v does not match program %v", set.Geom, prog.Geom)
 	}
@@ -194,8 +209,6 @@ func VerifyResponses(prog *Program, set *scan.ResponseSet) (*VerifyReport, error
 	if err != nil {
 		return nil, err
 	}
-	obsPatterns := prog.Obs.Counter("flow.patterns.replayed")
-	obsCycles := prog.Obs.Counter("flow.cycles.replayed")
 	tree, err := compactor.NewModulo(prog.Geom.Chains, prog.Cancel.MISR.Size)
 	if err != nil {
 		return nil, err
@@ -205,36 +218,45 @@ func VerifyResponses(prog *Program, set *scan.ResponseSet) (*VerifyReport, error
 		return nil, err
 	}
 	canc.Observe(prog.Obs)
-	rep := &VerifyReport{}
-	known := make([]uint64, prog.Geom.ChainLen)
-	xs := make([]uint64, prog.Geom.ChainLen)
-	for _, p := range prog.PatternOrder {
-		r := set.Responses[p]
-		mask := prog.Partitions[partOf[p]].Mask.Cells
-		if err := tree.Fold(r, mask, known, xs); err != nil {
+
+	endFold := prog.Obs.Span("flow.replay.fold")
+	chainLen := prog.Geom.ChainLen
+	known := make([]uint64, set.Patterns()*chainLen)
+	xs := make([]uint64, len(known))
+	lanes := make([]uint64, prog.Geom.Cells())
+	partLanes := make([]uint64, len(prog.Partitions))
+	var counts compactor.FoldCounts
+	for b := 0; b < set.Blocks(); b++ {
+		if err := prog.maskLanes(partOf, b, set.BlockPatterns(b), partLanes, lanes); err != nil {
 			return nil, err
 		}
-		// The fold forced the masked cells to 0; count what they held.
-		for cell := mask.NextSet(0); cell >= 0; cell = mask.NextSet(cell + 1) {
-			if r.Values[cell] == logic.X {
-				rep.MaskedX++
-			} else {
-				rep.ObservableMasked++
-			}
+		if err := tree.FoldBlock(set, b, lanes, known, xs, &counts); err != nil {
+			return nil, err
 		}
-		for cyc, x := range xs {
-			rep.ResidualX += bits.OnesCount64(x)
-			canc.ShiftWord(known[cyc], x)
+	}
+	endFold()
+
+	endCancel := prog.Obs.Span("flow.replay.cancel")
+	for _, p := range prog.PatternOrder {
+		for i := p * chainLen; i < (p+1)*chainLen; i++ {
+			canc.ShiftWord(known[i], xs[i])
 		}
-		rep.PatternsApplied++
-		obsPatterns.Inc()
-		obsCycles.Add(int64(len(xs)))
 	}
 	res := canc.Finish()
-	rep.Halts = len(res.Halts)
-	rep.ControlBits = res.ControlBits
-	rep.NormalizedTime = res.NormalizedTime()
-	rep.FinalSignature = res.FinalSignature
+	endCancel()
+	prog.Obs.Counter("flow.patterns.replayed").Add(int64(len(prog.PatternOrder)))
+	prog.Obs.Counter("flow.cycles.replayed").Add(int64(len(prog.PatternOrder) * chainLen))
+
+	rep := &VerifyReport{
+		PatternsApplied:  len(prog.PatternOrder),
+		MaskedX:          counts.MaskedX,
+		ObservableMasked: counts.ObservableMasked,
+		ResidualX:        counts.ResidualX,
+		Halts:            len(res.Halts),
+		ControlBits:      res.ControlBits,
+		NormalizedTime:   res.NormalizedTime(),
+		FinalSignature:   res.FinalSignature,
+	}
 	for _, h := range res.Halts {
 		rep.Signatures += len(h.Signatures)
 		rep.Deficits += h.Deficit
@@ -244,6 +266,34 @@ func VerifyResponses(prog *Program, set *scan.ResponseSet) (*VerifyReport, error
 	}
 	rep.Violation = prog.verdict(rep)
 	return rep, nil
+}
+
+// maskLanes sets lanes[cell] to the lanes of block b (n patterns) whose
+// partition's mask holds the cell: the mask stage for 64 patterns at once.
+// partOf maps each pattern to its partition; partLanes is scratch, one word
+// per partition. A mask that is neither empty nor one bit per cell is an
+// error.
+func (prog *Program) maskLanes(partOf []int, b, n int, partLanes, lanes []uint64) error {
+	clear(partLanes)
+	for k := 0; k < n; k++ {
+		partLanes[partOf[64*b+k]] |= 1 << uint(k)
+	}
+	clear(lanes)
+	for i, w := range partLanes {
+		if w == 0 {
+			continue
+		}
+		cells := prog.Partitions[i].Mask.Cells
+		if cells.Len() != 0 && cells.Len() != len(lanes) {
+			return fmt.Errorf("flow: partition %d mask width %d vs %d cells", i, cells.Len(), len(lanes))
+		}
+		for wi, mw := range cells.Words() {
+			for ; mw != 0; mw &= mw - 1 {
+				lanes[wi*64+bits.TrailingZeros64(mw)] |= w
+			}
+		}
+	}
+	return nil
 }
 
 // verdict holds a replay to the plan's accounting. It checks four clauses

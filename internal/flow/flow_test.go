@@ -2,11 +2,12 @@ package flow
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"xhybrid/internal/core"
-	"xhybrid/internal/logic"
+	"xhybrid/internal/gf2"
 	"xhybrid/internal/misr"
 	"xhybrid/internal/scan"
 	"xhybrid/internal/tester"
@@ -16,8 +17,8 @@ import (
 )
 
 // buildSetup simulates a generated circuit and returns everything the flow
-// needs: geometry, responses and the derived X-map.
-func buildSetup(t *testing.T) (scan.Geometry, *scan.ResponseSet, *xmap.XMap) {
+// needs: geometry, packed responses and the derived X-map.
+func buildSetup(t *testing.T) (scan.Geometry, *scan.PackedResponses, *xmap.XMap) {
 	t.Helper()
 	xb, err := BuildXMap(context.Background(), Spec{
 		Name: "flowtest", Cells: 128, Chains: 16, XClusters: 4, XFanout: 5,
@@ -29,7 +30,7 @@ func buildSetup(t *testing.T) (scan.Geometry, *scan.ResponseSet, *xmap.XMap) {
 	if xb.XMap.TotalX() == 0 {
 		t.Fatal("setup produced no X's")
 	}
-	return xb.Geom, xb.Responses, xb.XMap
+	return xb.Geom, xb.Packed, xb.XMap
 }
 
 func params(geom scan.Geometry) core.Params {
@@ -71,9 +72,13 @@ func TestVerifyResponses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := VerifyResponses(prog, set)
+	rep, err := VerifyPacked(prog, set)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A byte-per-cell set replays to the same report.
+	if bytes, err := VerifyResponses(prog, set.Unpack()); err != nil || !reflect.DeepEqual(bytes, rep) {
+		t.Fatalf("byte-set replay %+v (err %v), packed %+v", bytes, err, rep)
 	}
 	if rep.PatternsApplied != set.Patterns() {
 		t.Fatalf("applied %d of %d patterns", rep.PatternsApplied, set.Patterns())
@@ -115,7 +120,7 @@ func TestReplayVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := VerifyResponses(base, set)
+	good, err := VerifyPacked(base, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,9 +132,11 @@ func TestReplayVerdict(t *testing.T) {
 	}
 	// A cell partition 0 captures as a known value in its first pattern.
 	first := base.Partitions[0]
+	p0 := first.Patterns.Indices()[0]
+	_, xw := set.Block(p0 / 64)
 	known := -1
-	for c, v := range set.Responses[first.Patterns.Indices()[0]].Values {
-		if v != logic.X {
+	for c, w := range xw {
+		if w>>uint(p0%64)&1 == 0 {
 			known = c
 			break
 		}
@@ -168,7 +175,7 @@ func TestReplayVerdict(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := *base
 			tc.tamper(&prog)
-			rep, err := VerifyResponses(&prog, set)
+			rep, err := VerifyPacked(&prog, set)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,29 +216,48 @@ func TestVerifyValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := scan.NewResponseSet(scan.MustGeometry(8, 16))
-	if _, err := VerifyResponses(prog, other); err == nil {
+	other := scan.MustGeometry(8, 16)
+	if _, err := VerifyResponses(prog, scan.NewResponseSet(other)); err == nil {
 		t.Fatal("accepted mismatched geometry")
 	}
+	if _, err := VerifyPacked(prog, scan.NewPackedResponses(other, set.Patterns())); err == nil {
+		t.Fatal("accepted mismatched packed geometry")
+	}
 	short := scan.NewResponseSet(geom)
-	if err := short.Append(set.Responses[0]); err != nil {
+	if err := short.Append(set.Unpack().Responses[0]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := VerifyResponses(prog, short); err == nil {
 		t.Fatal("accepted wrong pattern count")
 	}
+	if _, err := VerifyPacked(prog, scan.NewPackedResponses(geom, 1)); err == nil {
+		t.Fatal("accepted wrong packed pattern count")
+	}
+	// A response narrower than the geometry cannot be packed.
+	torn := set.Unpack()
+	torn.Responses[3].Values = torn.Responses[3].Values[:5]
+	if _, err := VerifyResponses(prog, torn); err == nil {
+		t.Fatal("accepted a torn response")
+	}
 	// A pattern in two partitions would replay under only one mask.
 	overlap := *prog
 	overlap.Partitions = append(append([]core.Partition{}, prog.Partitions...), prog.Partitions[0])
-	if _, err := VerifyResponses(&overlap, set); err == nil || !strings.Contains(err.Error(), "is in partitions") {
+	if _, err := VerifyPacked(&overlap, set); err == nil || !strings.Contains(err.Error(), "is in partitions") {
 		t.Fatalf("overlapping partitions: err = %v", err)
 	}
 	// A repeated pattern in the order hides a skipped one.
 	repeat := *prog
 	repeat.PatternOrder = append([]int{}, prog.PatternOrder...)
 	repeat.PatternOrder[1] = repeat.PatternOrder[0]
-	if _, err := VerifyResponses(&repeat, set); err == nil || !strings.Contains(err.Error(), "repeats pattern") {
+	if _, err := VerifyPacked(&repeat, set); err == nil || !strings.Contains(err.Error(), "repeats pattern") {
 		t.Fatalf("order with a repeated pattern: err = %v", err)
+	}
+	// A mask of the wrong width cannot be laid over the cells.
+	wide := *prog
+	wide.Partitions = append([]core.Partition{}, prog.Partitions...)
+	wide.Partitions[0].Mask = xmask.Mask{Cells: gf2.NewVec(geom.Cells() + 1)}
+	if _, err := VerifyPacked(&wide, set); err == nil || !strings.Contains(err.Error(), "mask width") {
+		t.Fatalf("mask wider than the cells: err = %v", err)
 	}
 }
 

@@ -86,11 +86,12 @@ func planOf(tb testing.TB, spec Spec) (*Program, *XMapBuild) {
 	return prog, xb
 }
 
-// replayOf digests the replay of the spec's plan.
+// replayOf digests the replay of the spec's plan, run as RunSpec runs it:
+// from the simulate stage's packed responses.
 func replayOf(t *testing.T, spec Spec) replayGolden {
 	t.Helper()
 	prog, xb := planOf(t, spec)
-	rep, err := VerifyResponses(prog, xb.Responses)
+	rep, err := VerifyPacked(prog, xb.Packed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,6 +128,12 @@ func (s *Spec) Validate() error {
 	if s.MISRSize > s.Chains {
 		return fmt.Errorf("flow: %d-bit MISR wider than %d chains; pick m <= chains", s.MISRSize, s.Chains)
 	}
+	if s.XClusters < 0 {
+		return fmt.Errorf("flow: negative X cluster count %d", s.XClusters)
+	}
+	if s.MaxRounds < 0 {
+		return fmt.Errorf("flow: negative max rounds %d", s.MaxRounds)
+	}
 	if s.FaultSample < 0 {
 		return fmt.Errorf("flow: negative fault sample %d", s.FaultSample)
 	}
@@ -260,18 +266,18 @@ type Report struct {
 
 // XMapBuild is the product of the pipeline's front half (stages 1-4): the
 // generated circuit, its scan geometry, the fault-free machine's evaluated
-// 64-pattern blocks, the three-valued responses unpacked from them, and the
-// X-map extracted from those with its canonical XMAPB digest. Everything
-// downstream — partitioning, replay, fault simulation — consumes only
-// these; fault simulation reuses the blocks instead of simulating the
-// circuit again.
+// 64-pattern blocks, the three-valued responses gathered from them in
+// 64-pattern words, and the X-map read from those words with its canonical
+// XMAPB digest. Everything downstream — partitioning, replay, fault
+// simulation — consumes only these; fault simulation reuses the blocks
+// instead of simulating the circuit again.
 type XMapBuild struct {
-	Circuit   *netlist.Circuit
-	Geom      scan.Geometry
-	Blocks    []*sim.Block
-	Responses *scan.ResponseSet
-	XMap      *xmap.XMap
-	Digest    string
+	Circuit *netlist.Circuit
+	Geom    scan.Geometry
+	Blocks  []*sim.Block
+	Packed  *scan.PackedResponses
+	XMap    *xmap.XMap
+	Digest  string
 }
 
 // BuildXMap runs the deterministic front half of the pipeline — generate,
@@ -323,7 +329,7 @@ func BuildXMapStaged(ctx context.Context, spec Spec, stage func(name string) fun
 
 	// Stage 3: three-valued simulation, fanned out over 64-pattern blocks.
 	end = stage("simulate")
-	blocks, set, err := simulate(ctx, ckt, geom, st, spec.Workers)
+	blocks, packed, err := simulate(ctx, ckt, geom, st, spec.Workers)
 	end()
 	if err != nil {
 		return nil, err
@@ -331,7 +337,7 @@ func BuildXMapStaged(ctx context.Context, spec Spec, stage func(name string) fun
 
 	// Stage 4: extract the X-map and its canonical digest.
 	end = stage("extract")
-	m := xmap.FromResponses(set)
+	m := xmap.FromPacked(packed)
 	digest := sha256.New()
 	err = xmap.WriteBinary(digest, m, spec.Chains, chainLen)
 	end()
@@ -339,12 +345,12 @@ func BuildXMapStaged(ctx context.Context, spec Spec, stage func(name string) fun
 		return nil, err
 	}
 	return &XMapBuild{
-		Circuit:   ckt,
-		Geom:      geom,
-		Blocks:    blocks,
-		Responses: set,
-		XMap:      m,
-		Digest:    hex.EncodeToString(digest.Sum(nil)),
+		Circuit: ckt,
+		Geom:    geom,
+		Blocks:  blocks,
+		Packed:  packed,
+		XMap:    m,
+		Digest:  hex.EncodeToString(digest.Sum(nil)),
 	}, nil
 }
 
@@ -383,7 +389,7 @@ func RunSpec(ctx context.Context, spec Spec, cfg RunConfig) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	ckt, geom, set, m := xb.Circuit, xb.Geom, xb.Responses, xb.XMap
+	ckt, geom, packed, m := xb.Circuit, xb.Geom, xb.Packed, xb.XMap
 	faultsim := spec.FaultSample > 0 || spec.FaultFull
 	var blocks []*sim.Block // the fault-free machine, kept only for faultsim
 	if faultsim {
@@ -427,7 +433,7 @@ func RunSpec(ctx context.Context, spec Spec, cfg RunConfig) (*Report, error) {
 
 	// Stage 6: replay the captured responses through the hardware models.
 	end = stage("replay")
-	vr, err := VerifyResponses(prog, set)
+	vr, err := VerifyPacked(prog, packed)
 	end()
 	if err != nil {
 		return nil, err
@@ -474,22 +480,18 @@ func (rep *Report) judge(replay error) {
 
 // simulate evaluates the fault-free machine over every pattern in 64-pattern
 // blocks (sim.CaptureBlocks: position-indexed, so identical at any worker
-// count) and unpacks the response set from the blocks in pattern order.
-func simulate(ctx context.Context, ckt *netlist.Circuit, geom scan.Geometry, st atpg.Stimuli, workers int) ([]*sim.Block, *scan.ResponseSet, error) {
+// count) and gathers each block's scan-cell capture words into the packed
+// response set, in block order.
+func simulate(ctx context.Context, ckt *netlist.Circuit, geom scan.Geometry, st atpg.Stimuli, workers int) ([]*sim.Block, *scan.PackedResponses, error) {
 	blocks, err := sim.CaptureBlocks(ctx, ckt, st.Loads, st.PIs, workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	set := scan.NewResponseSet(geom)
-	set.Responses = make([]scan.Response, 0, len(st.Loads))
-	for _, blk := range blocks {
-		for _, cap := range blk.Captures() {
-			if err := set.Append(scan.Response{Geom: geom, Values: cap}); err != nil {
-				return nil, nil, err
-			}
-		}
+	packed := scan.NewPackedResponses(geom, len(st.Loads))
+	for b, blk := range blocks {
+		blk.CaptureWords(packed.Block(b))
 	}
-	return blocks, set, nil
+	return blocks, packed, nil
 }
 
 // measureCoverage runs one PPSFP pass over the collapsed fault list and

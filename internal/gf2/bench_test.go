@@ -60,3 +60,14 @@ func BenchmarkVecXor(b *testing.B) {
 		x.Xor(y)
 	}
 }
+
+func BenchmarkTranspose64(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	var a [64]uint64
+	for i := range a {
+		a[i] = r.Uint64()
+	}
+	for i := 0; i < b.N; i++ {
+		Transpose64(&a)
+	}
+}

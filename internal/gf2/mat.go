@@ -143,6 +143,33 @@ func (m Mat) Transpose() Mat {
 	return t
 }
 
+// Transpose64 transposes the 64×64 bit matrix a in place: bit j of a[i]
+// trades places with bit i of a[j]. Six rounds of masked swaps exchange the
+// off-diagonal blocks of every 2w×2w tile, for w = 32, 16, ..., 1. It is how
+// the parallel simulator's lane words turn into per-vector rows and back.
+func Transpose64(a *[64]uint64) {
+	transposeRound(a, 32, 0x00000000ffffffff)
+	transposeRound(a, 16, 0x0000ffff0000ffff)
+	transposeRound(a, 8, 0x00ff00ff00ff00ff)
+	transposeRound(a, 4, 0x0f0f0f0f0f0f0f0f)
+	transposeRound(a, 2, 0x3333333333333333)
+	transposeRound(a, 1, 0x5555555555555555)
+}
+
+// transposeRound is one round of Transpose64: for the first w rows i of
+// every 2w-row band, the bits of a[i] that m<<w selects trade places with
+// the bits of a[i+w] that m selects. It inlines with w and m constant; the
+// &63 drops the bounds checks.
+func transposeRound(a *[64]uint64, w int, m uint64) {
+	for k := 0; k < 64; k += 2 * w {
+		for i := k; i < k+w; i++ {
+			t := (a[i&63]>>uint(w) ^ a[(i+w)&63]) & m
+			a[i&63] ^= t << uint(w)
+			a[(i+w)&63] ^= t
+		}
+	}
+}
+
 // String renders the matrix, one row per line.
 func (m Mat) String() string {
 	var sb strings.Builder

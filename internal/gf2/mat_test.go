@@ -104,3 +104,40 @@ func randMat(r *rand.Rand, rows, cols int) Mat {
 	}
 	return m
 }
+
+// TestTranspose64MatchesNaive checks the masked-swap transpose against the
+// bit-by-bit definition on random, sparse and single-bit matrices, and that
+// transposing twice is the identity.
+func TestTranspose64MatchesNaive(t *testing.T) {
+	r := rand.New(rand.NewSource(64))
+	for trial := 0; trial < 200; trial++ {
+		var a [64]uint64
+		for i := range a {
+			switch trial % 3 {
+			case 0:
+				a[i] = r.Uint64()
+			case 1:
+				a[i] = r.Uint64() & r.Uint64() & r.Uint64()
+			default:
+				if r.Intn(8) == 0 {
+					a[i] = 1 << uint(r.Intn(64))
+				}
+			}
+		}
+		var want [64]uint64
+		for i := 0; i < 64; i++ {
+			for j := 0; j < 64; j++ {
+				want[j] |= (a[i] >> uint(j) & 1) << uint(i)
+			}
+		}
+		got := a
+		Transpose64(&got)
+		if got != want {
+			t.Fatalf("trial %d: transpose differs from the naive one", trial)
+		}
+		Transpose64(&got)
+		if got != a {
+			t.Fatalf("trial %d: transposing twice changed the matrix", trial)
+		}
+	}
+}

@@ -57,6 +57,9 @@ func Generate(cfg GenConfig) (*Circuit, error) {
 	if cfg.PIs < 1 {
 		return nil, fmt.Errorf("netlist: need at least 1 primary input, got %d", cfg.PIs)
 	}
+	if cfg.XClusters < 0 {
+		return nil, fmt.Errorf("netlist: negative X cluster count %d", cfg.XClusters)
+	}
 	r := rand.New(rand.NewSource(cfg.Seed))
 	b := NewBuilder(cfg.Name)
 	nGates := int(float64(cfg.ScanCells) * cfg.GatesPerCell)

@@ -180,4 +180,7 @@ func TestGenerateValidation(t *testing.T) {
 	if _, err := Generate(GenConfig{ScanCells: 8, PIs: 0}); err == nil {
 		t.Fatal("accepted 0 PIs")
 	}
+	if _, err := Generate(GenConfig{ScanCells: 8, PIs: 1, XClusters: -1}); err == nil {
+		t.Fatal("accepted a negative cluster count")
+	}
 }

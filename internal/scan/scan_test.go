@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -135,5 +136,63 @@ func TestEmptySetDensity(t *testing.T) {
 	s := NewResponseSet(MustGeometry(1, 1))
 	if s.XDensity() != 0 {
 		t.Fatal("empty set density must be 0")
+	}
+}
+
+// TestPackUnpackRoundTrip packs random response sets whose pattern counts
+// sit around the 64-pattern block edges and whose cell counts are not
+// multiples of 64, checks each word against the responses, including zero
+// lanes past the pattern count, and unpacks the set back.
+func TestPackUnpackRoundTrip(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	g := MustGeometry(7, 11)
+	for _, n := range []int{0, 1, 63, 64, 65, 129} {
+		set := NewResponseSet(g)
+		for p := 0; p < n; p++ {
+			resp := NewResponse(g)
+			for c := range resp.Values {
+				resp.Values[c] = logic.V(r.Intn(3))
+			}
+			if err := set.Append(resp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		packed, err := set.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if packed.Patterns() != n || packed.Blocks() != (n+63)/64 {
+			t.Fatalf("%d patterns packed as %d in %d blocks", n, packed.Patterns(), packed.Blocks())
+		}
+		for b := 0; b < packed.Blocks(); b++ {
+			one, x := packed.Block(b)
+			for c := 0; c < g.Cells(); c++ {
+				for k := 0; k < 64; k++ {
+					var want logic.V
+					if p := 64*b + k; p < n {
+						want = set.Responses[p].Values[c]
+					} else if (one[c]|x[c])>>uint(k)&1 != 0 {
+						t.Fatalf("n=%d block %d cell %d: lane %d past the patterns is set", n, b, c, k)
+					}
+					if got := logic.V(one[c]>>uint(k)&1 | (x[c]>>uint(k)&1)<<1); got != want {
+						t.Fatalf("n=%d block %d cell %d lane %d: %v, want %v", n, b, c, k, got, want)
+					}
+				}
+			}
+		}
+		back := packed.Unpack()
+		if back.Geom != g || back.Patterns() != n {
+			t.Fatalf("unpacked %v with %d patterns", back.Geom, back.Patterns())
+		}
+		for p, resp := range back.Responses {
+			if resp.Geom != g || !resp.Values.Equal(set.Responses[p].Values) {
+				t.Fatalf("n=%d pattern %d unpacked as %v, want %v", n, p, resp.Values, set.Responses[p].Values)
+			}
+		}
+	}
+	torn := NewResponseSet(g)
+	torn.Responses = append(torn.Responses, Response{Geom: g, Values: make(logic.Vector, 3)})
+	if _, err := torn.Pack(); err == nil {
+		t.Fatal("packed a response narrower than the geometry")
 	}
 }

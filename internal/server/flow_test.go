@@ -102,6 +102,12 @@ func TestFlowAPIErrors(t *testing.T) {
 	if w := do(t, s, http.MethodPost, "/v1/flow", []byte(`{"cells":256,"chains":7,"xclusters":4}`)); w.Code != http.StatusBadRequest {
 		t.Errorf("invalid spec = %d, want 400", w.Code)
 	}
+	// Rejected before the job is spooled: the job goroutine has no
+	// recover, so a spec the circuit generator cannot build must not
+	// reach it.
+	if w := do(t, s, http.MethodPost, "/v1/flow", []byte(`{"cells":64,"chains":8,"m":8,"xclusters":-1}`)); w.Code != http.StatusBadRequest {
+		t.Errorf("negative xclusters = %d, want 400", w.Code)
+	}
 	if w := do(t, s, http.MethodPost, "/v1/flow?workers=frogs", flowSpecBody(t)); w.Code != http.StatusBadRequest {
 		t.Errorf("bad workers = %d, want 400", w.Code)
 	}

@@ -51,11 +51,12 @@ func BenchmarkParallelCapture512x64(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelCapture4096x64 is the CI-gated pack/unpack benchmark: one
-// 64-pattern Capture on the flow-mid circuit shape (4,096 scan cells, 8
-// PIs, 96 X clusters), where packing the loads and unpacking the captures
-// cost more than evaluating the gates. The bench-regress CI job fails a >20%
-// median regression against the merge base.
+// BenchmarkParallelCapture4096x64 is the CI-gated simulate-stage benchmark:
+// one 64-pattern block on the flow-mid circuit shape (4,096 scan cells, 8
+// PIs, 96 X clusters) as the flow's simulate stage runs it — pack the
+// stimuli into lane words, evaluate the gates, gather the block's capture
+// words — with no byte unpack. The bench-regress CI job fails a >20% median
+// regression against the merge base.
 func BenchmarkParallelCapture4096x64(b *testing.B) {
 	c, err := netlist.Generate(netlist.GenConfig{
 		Name: "bench", ScanCells: 4096, PIs: 8, XClusters: 96, Seed: 1,
@@ -70,12 +71,16 @@ func BenchmarkParallelCapture4096x64(b *testing.B) {
 		loads[k] = randomVec(r, len(c.ScanCells), 0)
 		pis[k] = randomVec(r, len(c.PIs), 0)
 	}
+	one := make([]uint64, len(c.ScanCells))
+	x := make([]uint64, len(c.ScanCells))
 	s := NewParallel(c)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Capture(loads, pis); err != nil {
+		blk, err := s.CaptureBlock(loads, pis)
+		if err != nil {
 			b.Fatal(err)
 		}
+		blk.CaptureWords(one, x)
 	}
 }

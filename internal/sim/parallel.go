@@ -90,8 +90,8 @@ func (s *PSim) Capture(loads, pis []logic.Vector) ([]logic.Vector, error) {
 
 // Block is the retained word-level state of one evaluated batch of up to 64
 // patterns: every node's 64-way pval word, immutable once built. The
-// simulate stage unpacks its captures, and the PPSFP kernel reads the cone
-// frontier's fault-free words from it.
+// simulate stage gathers its scan-cell capture words, and the PPSFP kernel
+// reads the cone frontier's fault-free words from it.
 type Block struct {
 	c     *netlist.Circuit
 	n     int
@@ -105,10 +105,18 @@ func (b *Block) Patterns() int { return b.n }
 // Circuit returns the circuit the block was evaluated on.
 func (b *Block) Circuit() *netlist.Circuit { return b.c }
 
-// Captures unpacks the block's scan captures: row k is pattern k's captured
-// response, exactly what Capture returns for the same batch. The rows are
-// cut from one allocation.
-func (b *Block) Captures() []logic.Vector { return unpack(b.c, b.vals, b.n) }
+// CaptureWords writes the block's scan captures as lane words: bit k of
+// one[i] and x[i] is pattern k's captured value in scan cell i, One and X
+// respectively. Lanes at or past Patterns are zero. one and x need a word
+// per scan cell.
+func (b *Block) CaptureWords(one, x []uint64) {
+	c := b.c
+	one, x = one[:len(c.ScanCells)], x[:len(c.ScanCells)]
+	for i, id := range c.ScanCells {
+		v := b.vals[c.Gates[id].Fanin[0]]
+		one[i], x[i] = v.one&b.lanes, v.x&b.lanes
+	}
+}
 
 // CaptureBlock is Capture, but instead of unpacking the scan captures it
 // retains the whole evaluated word state as an immutable Block. The block
@@ -170,11 +178,6 @@ func laneMask(n int) uint64 {
 	return 1<<uint(n) - 1
 }
 
-// tileLen is how many scan cells or inputs pack and unpack handle at a
-// time: a tile's words (4 KiB) stay in L1 while every pattern's slice of
-// it is walked.
-const tileLen = 256
-
 // eval runs the full 64-way evaluation for the batch, leaving every node's
 // word in s.vals.
 func (s *PSim) eval(loads, pis []logic.Vector) error {
@@ -218,36 +221,22 @@ func (s *PSim) eval(loads, pis []logic.Vector) error {
 	return nil
 }
 
-// pack sets node ids[i]'s word from vecs[k][i] for every pattern k: lane k
-// gets a one bit only for One and an X bit only for X. It walks each
-// pattern's vector in order, one tile of positions at a time.
+// pack sets node ids[i]'s word from vecs[k][i] for every pattern k, 64
+// positions at a time (logic.PackLanes): lane k gets a one bit only for One
+// and an X bit only for X.
 func (s *PSim) pack(ids []int, vecs []logic.Vector) {
-	var tile [tileLen]pval
-	for lo := 0; lo < len(ids); lo += tileLen {
-		w := tile[:min(tileLen, len(ids)-lo)]
-		clear(w)
-		for k, vec := range vecs {
-			sh := uint(k) & 63 // k < 64; the mask drops the compiler's wide-shift check
-			vec = vec[lo : lo+len(w)]
-			for i := range w {
-				e := vec[i]
-				w[i].one |= is(e, logic.One) << sh
-				w[i].x |= is(e, logic.X) << sh
-			}
-		}
-		for i, v := range w {
-			s.vals[ids[lo+i]] = v
+	var one, x [64]uint64
+	for lo := 0; lo < len(ids); lo += 64 {
+		logic.PackLanes(vecs, lo, &one, &x)
+		for i, id := range ids[lo:min(lo+64, len(ids))] {
+			s.vals[id] = pval{one: one[i], x: x[i]}
 		}
 	}
 }
 
-// is returns 1 when e == v and 0 otherwise, without a branch.
-func is(e, v logic.V) uint64 { return (uint64(e^v) - 1) >> 63 }
-
-// unpack returns the n patterns' captures from the evaluated words: it
-// gathers each scan cell's capture word once, then writes every pattern's
-// row a tile at a time. one and x are disjoint, so one|x<<1 is the value's
-// encoding (Zero 0, One 1, X 2).
+// unpack returns the n patterns' captures from the evaluated words, each
+// scan cell's capture word gathered and unpacked 64 cells at a time
+// (logic.UnpackLanes). The rows are cut from one allocation.
 func unpack(c *netlist.Circuit, vals []pval, n int) []logic.Vector {
 	cells := len(c.ScanCells)
 	slab := make(logic.Vector, n*cells)
@@ -255,19 +244,13 @@ func unpack(c *netlist.Circuit, vals []pval, n int) []logic.Vector {
 	for k := range out {
 		out[k] = slab[k*cells : (k+1)*cells : (k+1)*cells]
 	}
-	var tile [tileLen]pval
-	for lo := 0; lo < cells; lo += tileLen {
-		w := tile[:min(tileLen, cells-lo)]
-		for i := range w {
-			w[i] = vals[c.Gates[c.ScanCells[lo+i]].Fanin[0]]
+	var one, x [64]uint64
+	for lo := 0; lo < cells; lo += 64 {
+		for i, id := range c.ScanCells[lo:min(lo+64, cells)] {
+			v := vals[c.Gates[id].Fanin[0]]
+			one[i], x[i] = v.one, v.x
 		}
-		for k, row := range out {
-			sh := uint(k) & 63 // as in pack
-			row = row[lo : lo+len(w)]
-			for i := range w {
-				row[i] = logic.V(w[i].one>>sh&1 | (w[i].x>>sh&1)<<1)
-			}
-		}
+		logic.UnpackLanes(&one, &x, out, lo)
 	}
 	return out
 }

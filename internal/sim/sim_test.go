@@ -194,12 +194,13 @@ func randomVec(r *rand.Rand, n int, xProb float64) logic.Vector {
 
 // The parallel-pattern simulator must agree with the scalar simulator on
 // every pattern, including X handling, for random generated circuits of up
-// to ~600 scan cells, so the 256-cell pack and unpack tiles repeat and end
-// part-full. One PSim runs three consecutive batches — 64 patterns, then
-// 1..63, both with X-dense loads, then 64 with sparse X's — so an X lane
-// left over from an earlier batch or tile would show. Each batch goes
-// through CaptureBlock and then Capture: the block's unpacked captures,
-// Capture's and the scalar simulator's must all be equal.
+// to ~600 scan cells and 1..8 PIs, so the 64-value pack and unpack chunks
+// repeat and end part-full. One PSim runs three consecutive batches — 64
+// patterns, then 1..63, both with X-dense loads, then 64 with sparse X's —
+// so an X lane left over from an earlier batch or chunk would show. Each
+// batch goes through CaptureBlock and then Capture: the block's capture
+// words, Capture's unpacked rows and the scalar simulator must all agree,
+// and the block's lanes past the batch must be zero.
 func TestParallelMatchesScalar(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -230,19 +231,31 @@ func TestParallelMatchesScalar(t *testing.T) {
 			if err != nil || blk.Patterns() != n {
 				return false
 			}
-			unpacked := blk.Captures()
+			one := make([]uint64, len(c.ScanCells))
+			x := make([]uint64, len(c.ScanCells))
+			blk.CaptureWords(one, x)
 			captured, err := ps.Capture(loads, pis)
-			if err != nil || len(captured) != n || len(unpacked) != n {
+			if err != nil || len(captured) != n {
 				return false
+			}
+			for i := range one {
+				if (one[i]|x[i])>>uint(n-1)>>1 != 0 {
+					t.Logf("seed %d, batch of %d, cell %d: lanes past the batch set (%#x/%#x)", seed, n, i, one[i], x[i])
+					return false
+				}
 			}
 			for k := 0; k < n; k++ {
 				cap, _, err := ss.Capture(loads[k], pis[k], NoFault)
 				if err != nil {
 					return false
 				}
-				if !cap.Equal(captured[k]) || !cap.Equal(unpacked[k]) {
+				word := make(logic.Vector, len(cap))
+				for i := range word {
+					word[i] = logic.V(one[i]>>uint(k)&1 | (x[i]>>uint(k)&1)<<1)
+				}
+				if !cap.Equal(captured[k]) || !cap.Equal(word) {
 					t.Logf("seed %d, batch of %d, pattern %d: scalar %v, Capture %v, block %v",
-						seed, n, k, cap, captured[k], unpacked[k])
+						seed, n, k, cap, captured[k], word)
 					return false
 				}
 			}

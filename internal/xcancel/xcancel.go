@@ -19,7 +19,6 @@ import (
 	"math/bits"
 
 	"xhybrid/internal/compactor"
-	"xhybrid/internal/gf2"
 	"xhybrid/internal/logic"
 	"xhybrid/internal/misr"
 	"xhybrid/internal/obs"
@@ -405,15 +404,20 @@ func RunResponsesObs(cfg Config, s *scan.ResponseSet, rec *obs.Recorder) (Result
 	if err != nil {
 		return Result{}, err
 	}
-	known := make([]uint64, s.Geom.ChainLen)
-	xs := make([]uint64, s.Geom.ChainLen)
-	for _, r := range s.Responses {
-		if err := tree.Fold(r, gf2.Vec{}, known, xs); err != nil {
+	packed, err := s.Pack()
+	if err != nil {
+		return Result{}, err
+	}
+	known := make([]uint64, packed.Patterns()*s.Geom.ChainLen)
+	xs := make([]uint64, len(known))
+	var counts compactor.FoldCounts
+	for b := 0; b < packed.Blocks(); b++ {
+		if err := tree.FoldBlock(packed, b, nil, known, xs, &counts); err != nil {
 			return Result{}, err
 		}
-		for t := range known {
-			c.ShiftWord(known[t], xs[t])
-		}
+	}
+	for i := range known {
+		c.ShiftWord(known[i], xs[i])
 	}
 	return c.Finish(), nil
 }

@@ -76,6 +76,35 @@ func FromResponses(s *scan.ResponseSet) *XMap {
 	return m
 }
 
+// FromPacked builds an XMap from a packed response set: word b of a cell's
+// pattern bitset is block b's X word for the cell, so the map is read 64
+// patterns per word. Cells are installed in ascending order, and a cell
+// with no X in any block gets no entry.
+func FromPacked(s *scan.PackedResponses) *XMap {
+	cells := s.Geom.Cells()
+	m := New(s.Patterns(), cells)
+	xs := make([][]uint64, s.Blocks())
+	for b := range xs {
+		_, xs[b] = s.Block(b)
+	}
+	for cell := 0; cell < cells; cell++ {
+		var any uint64
+		for _, x := range xs {
+			any |= x[cell]
+		}
+		if any == 0 {
+			continue
+		}
+		v := gf2.NewVec(s.Patterns())
+		words := v.Words()
+		for b := range words {
+			words[b] = xs[b][cell]
+		}
+		m.SetCellPatterns(cell, v)
+	}
+	return m
+}
+
 // Patterns returns the number of test patterns.
 func (m *XMap) Patterns() int { return m.numPatterns }
 

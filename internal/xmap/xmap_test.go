@@ -1,6 +1,7 @@
 package xmap
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -358,5 +359,51 @@ func TestSetCellPatterns(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestFromPackedMatchesFromResponses: the X-map read from a packed set's X
+// words equals the one FromResponses builds from the same responses a byte
+// per cell, canonical encoding included, for pattern counts around the
+// 64-pattern block edges and X densities from none to dense.
+func TestFromPackedMatchesFromResponses(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	g := scan.MustGeometry(5, 13)
+	for _, n := range []int{1, 63, 64, 65, 129} {
+		for _, xProb := range []float64{0, 0.02, 0.5} {
+			set := scan.NewResponseSet(g)
+			for p := 0; p < n; p++ {
+				resp := scan.NewResponse(g)
+				for c := range resp.Values {
+					switch {
+					case r.Float64() < xProb:
+						resp.Values[c] = logic.X
+					default:
+						resp.Values[c] = logic.V(r.Intn(2))
+					}
+				}
+				if err := set.Append(resp); err != nil {
+					t.Fatal(err)
+				}
+			}
+			packed, err := set.Pack()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := FromPacked(packed), FromResponses(set)
+			if !got.Equal(want) || got.TotalX() != want.TotalX() {
+				t.Fatalf("n=%d xProb=%g: packed map (%d X's) differs from the byte map (%d X's)", n, xProb, got.TotalX(), want.TotalX())
+			}
+			var a, b bytes.Buffer
+			if err := WriteBinary(&a, got, g.Chains, g.ChainLen); err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteBinary(&b, want, g.Chains, g.ChainLen); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Fatalf("n=%d xProb=%g: encodings differ", n, xProb)
+			}
+		}
 	}
 }
