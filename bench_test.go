@@ -216,51 +216,6 @@ func BenchmarkPartitionWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkXCancelPartitioned measures per-partition X-canceling sessions
-// (independent symbolic MISRs + Gaussian eliminations) serial vs parallel.
-func BenchmarkXCancelPartitioned(b *testing.B) {
-	r := rand.New(rand.NewSource(3))
-	g := scan.MustGeometry(16, 64)
-	var sets []*scan.ResponseSet
-	for part := 0; part < 8; part++ {
-		set := scan.NewResponseSet(g)
-		for p := 0; p < 6; p++ {
-			resp := scan.NewResponse(g)
-			for c := 0; c < g.Chains; c++ {
-				for t := 0; t < g.ChainLen; t++ {
-					switch {
-					case r.Float64() < 0.02:
-						resp.Set(c, t, logic.X)
-					case r.Intn(2) == 1:
-						resp.Set(c, t, logic.One)
-					default:
-						resp.Set(c, t, logic.Zero)
-					}
-				}
-			}
-			if err := set.Append(resp); err != nil {
-				b.Fatal(err)
-			}
-		}
-		sets = append(sets, set)
-	}
-	cfg := xcancel.Config{MISR: misr.MustStandard(16), Q: 3}
-	for _, w := range []int{1, 0} {
-		w := w
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			var halts int
-			for i := 0; i < b.N; i++ {
-				res, err := xcancel.RunPartitioned(cfg, sets, w)
-				if err != nil {
-					b.Fatal(err)
-				}
-				halts = res.Halts
-			}
-			b.ReportMetric(float64(halts), "halts")
-		})
-	}
-}
-
 // BenchmarkWorkloadGeneration measures the synthetic X-map generators.
 func BenchmarkWorkloadGeneration(b *testing.B) {
 	for _, prof := range workload.Profiles() {
@@ -279,23 +234,17 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 func BenchmarkXCancelSession(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	g := scan.MustGeometry(16, 64)
-	set := scan.NewResponseSet(g)
+	set := scan.NewPackedResponses(g, 8)
 	for p := 0; p < 8; p++ {
-		resp := scan.NewResponse(g)
 		for c := 0; c < g.Chains; c++ {
 			for t := 0; t < g.ChainLen; t++ {
 				switch {
 				case r.Float64() < 0.02:
-					resp.Set(c, t, logic.X)
+					set.Set(p, g.CellIndex(c, t), logic.X)
 				case r.Intn(2) == 1:
-					resp.Set(c, t, logic.One)
-				default:
-					resp.Set(c, t, logic.Zero)
+					set.Set(p, g.CellIndex(c, t), logic.One)
 				}
 			}
-		}
-		if err := set.Append(resp); err != nil {
-			b.Fatal(err)
 		}
 	}
 	cfg := xcancel.Config{MISR: misr.MustStandard(16), Q: 3}
@@ -499,19 +448,11 @@ func BenchmarkTesterSchedule(b *testing.B) {
 func BenchmarkCompactor(b *testing.B) {
 	geom := scan.MustGeometry(128, 64)
 	r := rand.New(rand.NewSource(1))
-	set := scan.NewResponseSet(geom)
+	packed := scan.NewPackedResponses(geom, 64)
 	for p := 0; p < 64; p++ {
-		resp := scan.NewResponse(geom)
-		for c := range resp.Values {
-			resp.Values[c] = logic.V(r.Intn(2))
+		for c := 0; c < geom.Cells(); c++ {
+			packed.Set(p, c, logic.V(r.Intn(2)))
 		}
-		if err := set.Append(resp); err != nil {
-			b.Fatal(err)
-		}
-	}
-	packed, err := set.Pack()
-	if err != nil {
-		b.Fatal(err)
 	}
 	tree := compactor.MustModulo(128, 32)
 	known := make([]uint64, 64*geom.ChainLen)

@@ -6,10 +6,10 @@
 // Every lane's plan is verified before it may score: the plan is replayed
 // through the real hardware models (mask stage → spatial compactor →
 // X-canceling MISR, flow.VerifyPacked), and on narrow geometries
-// (chains <= 64, where the response-level canceler can take one input per
-// chain) additionally through the partitioned canceler, whose observed X
-// count must equal the plan's accounted ResidualX exactly. Unverified lanes
-// are reported but excluded from the frontier.
+// (chains <= 64, where a MISR can take one input per chain) through an
+// identity compactor too, whose residual X count must equal the plan's
+// accounted ResidualX exactly. Unverified lanes are reported but excluded
+// from the frontier.
 //
 // Usage:
 //
@@ -67,7 +67,7 @@ type result struct {
 	// Verified: the replay verdict held — the replayed plan masked no
 	// observable capture, removed exactly the accounted X's, and stayed
 	// within the accounted residual and the planned halt budget (plus the
-	// exact partitioned-canceler check on narrow geometries).
+	// exact identity-compactor residual on narrow geometries).
 	Verified bool `json:"verified"`
 	// ExactCanceler reports whether the chains<=64 exact check ran.
 	ExactCanceler bool `json:"exactCanceler"`
@@ -181,10 +181,10 @@ func parseLanes(arg string) ([]core.Strategy, error) {
 	return lanes, nil
 }
 
-// prepare materializes a workload by name: synthetic profiles get
+// prepare materializes a workload by name: synthetic profiles get packed
 // pseudo-responses synthesized from their X-map (seed 7, the residual
-// test's convention) and packed; flow specs run the real circuit pipeline
-// and race over its packed responses.
+// test's convention); flow specs run the real circuit pipeline and race
+// over its packed responses.
 func prepare(name string) (*input, error) {
 	if spec, ok := flowSpecs[name]; ok {
 		xb, err := flow.BuildXMap(context.Background(), spec)
@@ -203,11 +203,7 @@ func prepare(name string) (*input, error) {
 		return nil, fmt.Errorf("stratbench: %s: %w", name, err)
 	}
 	geom := prof.Geometry()
-	set, err := workload.ResponsesFromXMap(m, geom, 7)
-	if err != nil {
-		return nil, fmt.Errorf("stratbench: %s: %w", name, err)
-	}
-	packed, err := set.Pack()
+	packed, err := workload.ResponsesFromXMap(m, geom, 7)
 	if err != nil {
 		return nil, fmt.Errorf("stratbench: %s: %w", name, err)
 	}
@@ -257,21 +253,17 @@ func race(in *input, lanes []core.Strategy, workers int) workloadReport {
 	return rep
 }
 
-// verify replays the plan through the hardware models. All geometries get
-// the full program replay (mask stage → compactor → canceling MISR, the
-// pipeline's stage-6 check) and its verdict; geometries narrow enough for a
-// one-input-per-chain MISR additionally run the partitioned canceler and
-// demand its observed X count equal the accounted ResidualX exactly.
+// verify replays the plan through the hardware models (mask stage →
+// compactor → canceling MISR, the pipeline's stage-6 check) and holds it
+// to the replay verdict. On geometries of at most 64 chains it also checks
+// the X count exactly: through an identity compactor (a MISR input per
+// chain) no two X's fold together, so the replayed residual must equal the
+// accounted ResidualX. Where the lane's MISR already has one input per
+// chain, the first replay is that program.
 func verify(in *input, res *core.Result) (verified, exact bool, errMsg string) {
-	prog, err := flow.Assemble(res, in.geom,
-		xcancel.Config{MISR: misr.MustStandard(in.mSize), Q: in.q},
-		tester.Config{Channels: in.mSize, OverlapMaskLoad: true}, nil)
+	vr, err := replay(in, res, in.mSize, in.q)
 	if err != nil {
-		return false, false, "assemble: " + err.Error()
-	}
-	vr, err := flow.VerifyPacked(prog, in.responses)
-	if err != nil {
-		return false, false, "replay: " + err.Error()
+		return false, false, err.Error()
 	}
 	if vr.Violation != nil {
 		return false, false, vr.Violation.Error()
@@ -279,39 +271,31 @@ func verify(in *input, res *core.Result) (verified, exact bool, errMsg string) {
 	if in.geom.Chains > 64 {
 		return true, false, ""
 	}
-	// Narrow geometry: the response-level canceler can observe every chain
-	// directly, so its X count must match the accounting bit for bit. It
-	// takes the responses a byte per cell.
-	responses := in.responses.Unpack()
-	sets := make([]xcancel.PatternSet, len(res.Partitions))
-	for i, p := range res.Partitions {
-		sets[i] = p.Patterns
-	}
-	subs, err := xcancel.SplitByPartition(responses, sets)
-	if err != nil {
-		return false, false, "split: " + err.Error()
-	}
-	for i, sub := range subs {
-		masked := scan.NewResponseSet(responses.Geom)
-		for _, resp := range sub.Responses {
-			if err := masked.Append(res.Partitions[i].Mask.Apply(resp)); err != nil {
-				return false, false, "mask: " + err.Error()
-			}
+	if m, q := in.geom.Chains, min(in.q, in.geom.Chains-1); m != in.mSize || q != in.q {
+		if vr, err = replay(in, res, m, q); err != nil {
+			return false, false, err.Error()
 		}
-		subs[i] = masked
 	}
-	runCfg := xcancel.Config{
-		MISR: misr.MustStandard(in.geom.Chains),
-		Q:    min(in.q, in.geom.Chains-1),
-	}
-	pr, err := xcancel.RunPartitioned(runCfg, subs, 0)
-	if err != nil {
-		return false, false, "canceler: " + err.Error()
-	}
-	if pr.TotalX != res.ResidualX {
-		return false, true, fmt.Sprintf("partitioned canceler saw %d X's, plan accounts %d", pr.TotalX, res.ResidualX)
+	if vr.ResidualX != res.ResidualX {
+		return false, true, fmt.Sprintf("identity-compactor replay left %d X's, plan accounts %d", vr.ResidualX, res.ResidualX)
 	}
 	return true, true, ""
+}
+
+// replay assembles the plan's program for an m-bit MISR extracting q
+// combinations per halt and replays the workload's responses through it.
+func replay(in *input, res *core.Result, m, q int) (*flow.VerifyReport, error) {
+	prog, err := flow.Assemble(res, in.geom,
+		xcancel.Config{MISR: misr.MustStandard(m), Q: q},
+		tester.Config{Channels: m, OverlapMaskLoad: true}, nil)
+	if err != nil {
+		return nil, fmt.Errorf("assemble: %w", err)
+	}
+	vr, err := flow.VerifyPacked(prog, in.responses)
+	if err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
+	}
+	return vr, nil
 }
 
 // markFrontier flags the Pareto-optimal verified results over

@@ -66,39 +66,28 @@ func runAblation(w io.Writer, name string, scale int) error {
 // the golden signatures.
 func ablAliasing(w io.Writer, scale int) error {
 	fmt.Fprintln(w, "=== Extension: X-free signature aliasing vs q ===")
-	tab := report.New("16-bit MISR, 12 chains x 24 cells, 6 patterns, 3% X's, 200 error trials",
+	tab := report.New("16-bit MISR, 16 chains x 24 cells, 6 patterns, 3% X's, 200 error trials",
 		"q", "Halts", "Signatures", "Detected", "Escape rate")
 	_ = scale
 	r := rand.New(rand.NewSource(99))
 	geom := scan.MustGeometry(16, 24)
-	set := scan.NewResponseSet(geom)
-	for p := 0; p < 6; p++ {
-		resp := scan.NewResponse(geom)
-		for c := 0; c < geom.Chains; c++ {
-			for pos := 0; pos < geom.ChainLen; pos++ {
-				switch {
-				case r.Float64() < 0.03:
-					resp.Set(c, pos, logic.X)
-				case r.Intn(2) == 1:
-					resp.Set(c, pos, logic.One)
-				default:
-					resp.Set(c, pos, logic.Zero)
-				}
-			}
-		}
-		if err := set.Append(resp); err != nil {
-			return err
-		}
-	}
-	// Collect known positions once.
-	type pos struct{ p, chain, cell int }
+	set := scan.NewPackedResponses(geom, 6)
+	// Draw pattern by pattern, chain by chain, position by position, and
+	// collect the known positions in the same order.
+	type pos struct{ p, cell int }
 	var known []pos
-	for p, resp := range set.Responses {
+	for p := 0; p < set.Patterns(); p++ {
 		for c := 0; c < geom.Chains; c++ {
 			for t := 0; t < geom.ChainLen; t++ {
-				if resp.At(c, t) != logic.X {
-					known = append(known, pos{p, c, t})
+				cell := geom.CellIndex(c, t)
+				if r.Float64() < 0.03 {
+					set.Set(p, cell, logic.X)
+					continue
 				}
+				if r.Intn(2) == 1 {
+					set.Set(p, cell, logic.One)
+				}
+				known = append(known, pos{p, cell})
 			}
 		}
 	}
@@ -114,18 +103,12 @@ func ablAliasing(w io.Writer, scale int) error {
 			signatures += len(h.Signatures)
 		}
 		for trial := 0; trial < trials; trial++ {
+			// Flip one known capture, run, and flip it back.
 			k := known[r.Intn(len(known))]
-			faulty := scan.NewResponseSet(geom)
-			for p, resp := range set.Responses {
-				cp := resp.Clone()
-				if p == k.p {
-					cp.Set(k.chain, k.cell, logic.Not(cp.At(k.chain, k.cell)))
-				}
-				if err := faulty.Append(cp); err != nil {
-					return err
-				}
-			}
-			res, err := xcancel.RunResponses(cfg, faulty)
+			v := set.At(k.p, k.cell)
+			set.Set(k.p, k.cell, logic.Not(v))
+			res, err := xcancel.RunResponses(cfg, set)
+			set.Set(k.p, k.cell, v)
 			if err != nil {
 				return err
 			}

@@ -98,6 +98,32 @@ func TestRunAblations(t *testing.T) {
 	}
 }
 
+// TestAblationAliasingRows pins the aliasing table's rows: for each q the
+// golden run's halts and X-free signatures and the detected share of the
+// 200 single-bit error trials.
+func TestAblationAliasingRows(t *testing.T) {
+	var buf bytes.Buffer
+	if err := runAblation(&buf, "aliasing", 10); err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string][]string{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 5 && strings.HasSuffix(f[4], "%") {
+			rows[f[0]] = f[1:4]
+		}
+	}
+	for _, want := range [][]string{
+		{"1", "5", "5", "68/200"},
+		{"2", "6", "12", "76/200"},
+		{"3", "6", "18", "87/200"},
+		{"5", "7", "35", "118/200"},
+	} {
+		if got := rows[want[0]]; strings.Join(got, " ") != strings.Join(want[1:], " ") {
+			t.Errorf("q=%s: halts, signatures, detected = %v, want %v\n%s", want[0], got, want[1:], buf.String())
+		}
+	}
+}
+
 func TestFig4MapMatchesPaper(t *testing.T) {
 	m := fig4Map()
 	if m.TotalX() != 28 || m.NumXCells() != 7 {

@@ -72,58 +72,48 @@ func main() {
 	fmt.Printf("  %d X's -> %d halts, %d control bits, normalized time %.3f\n",
 		res.TotalX, len(res.Halts), res.ControlBits, res.NormalizedTime())
 
-	faulty := cloneSet(golden)
-	flipFirstKnown(faulty)
-	res2, err := xcancel.RunResponses(ccfg, faulty)
+	// Corrupt the first known capture in place, rerun, and restore it.
+	p, cell := firstKnown(golden)
+	v := golden.At(p, cell)
+	golden.Set(p, cell, logic.Not(v))
+	res2, err := xcancel.RunResponses(ccfg, golden)
+	golden.Set(p, cell, v)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  corrupted known bit detected: %v\n", signaturesDiffer(res, res2))
 }
 
-func randomResponses(g scan.Geometry, patterns int, xProb float64, seed int64) *scan.ResponseSet {
+func randomResponses(g scan.Geometry, patterns int, xProb float64, seed int64) *scan.PackedResponses {
 	r := rand.New(rand.NewSource(seed))
-	s := scan.NewResponseSet(g)
+	s := scan.NewPackedResponses(g, patterns)
 	for p := 0; p < patterns; p++ {
-		resp := scan.NewResponse(g)
 		for c := 0; c < g.Chains; c++ {
 			for t := 0; t < g.ChainLen; t++ {
 				switch {
 				case r.Float64() < xProb:
-					resp.Set(c, t, logic.X)
+					s.Set(p, g.CellIndex(c, t), logic.X)
 				case r.Intn(2) == 1:
-					resp.Set(c, t, logic.One)
-				default:
-					resp.Set(c, t, logic.Zero)
+					s.Set(p, g.CellIndex(c, t), logic.One)
 				}
 			}
-		}
-		if err := s.Append(resp); err != nil {
-			log.Fatal(err)
 		}
 	}
 	return s
 }
 
-func cloneSet(s *scan.ResponseSet) *scan.ResponseSet {
-	out := scan.NewResponseSet(s.Geom)
-	for _, r := range s.Responses {
-		if err := out.Append(r.Clone()); err != nil {
-			log.Fatal(err)
-		}
-	}
-	return out
-}
-
-func flipFirstKnown(s *scan.ResponseSet) {
-	for _, r := range s.Responses {
-		for i, v := range r.Values {
-			if v != logic.X {
-				r.Values[i] = logic.Not(v)
-				return
+// firstKnown returns the first pattern and cell, in pattern then cell
+// order, that captures a known value.
+func firstKnown(s *scan.PackedResponses) (p, cell int) {
+	for p = 0; p < s.Patterns(); p++ {
+		for cell = 0; cell < s.Geom.Cells(); cell++ {
+			if s.At(p, cell) != logic.X {
+				return p, cell
 			}
 		}
 	}
+	log.Fatal("no known capture")
+	return 0, 0
 }
 
 func signaturesDiffer(a, b xcancel.Result) bool {

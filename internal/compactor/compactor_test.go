@@ -117,14 +117,34 @@ func TestIdentityTree(t *testing.T) {
 	}
 }
 
-// packOf packs byte responses, failing the test on error.
-func packOf(t *testing.T, set *scan.ResponseSet) *scan.PackedResponses {
-	t.Helper()
-	p, err := set.Pack()
-	if err != nil {
-		t.Fatal(err)
+// packOf packs per-pattern byte responses of the geometry through Set.
+func packOf(g scan.Geometry, vals []logic.Vector) *scan.PackedResponses {
+	set := scan.NewPackedResponses(g, len(vals))
+	for p, v := range vals {
+		for c, x := range v {
+			set.Set(p, c, x)
+		}
 	}
-	return p
+	return set
+}
+
+// randomVector draws one random logic value per cell.
+func randomVector(r *rand.Rand, g scan.Geometry) logic.Vector {
+	v := make(logic.Vector, g.Cells())
+	for c := range v {
+		v[c] = logic.V(r.Intn(3))
+	}
+	return v
+}
+
+// slice returns the values a response presents to the compactor at shift
+// cycle t: one per chain, from position t of each chain.
+func slice(g scan.Geometry, v logic.Vector, t int) logic.Vector {
+	out := make(logic.Vector, g.Chains)
+	for c := range out {
+		out[c] = v[g.CellIndex(c, t)]
+	}
+	return out
 }
 
 // foldAll folds every block of the set under the per-block mask lanes
@@ -147,21 +167,12 @@ func foldAll(t *testing.T, tr *XORTree, set *scan.PackedResponses, lanes func(b 
 
 func TestFoldCountsFoldedX(t *testing.T) {
 	g := scan.MustGeometry(4, 3)
-	r := scan.NewResponse(g)
-	for c := 0; c < 4; c++ {
-		for p := 0; p < 3; p++ {
-			r.Set(c, p, logic.Zero)
-		}
-	}
-	r.Set(0, 0, logic.X) // cycle 0, output 0
-	r.Set(2, 0, logic.X) // cycle 0, output 0 too: folds into ONE X
-	r.Set(1, 2, logic.X) // cycle 2, output 1
-	set := scan.NewResponseSet(g)
-	if err := set.Append(r); err != nil {
-		t.Fatal(err)
-	}
+	set := scan.NewPackedResponses(g, 1)   // all Zero
+	set.Set(0, g.CellIndex(0, 0), logic.X) // cycle 0, output 0
+	set.Set(0, g.CellIndex(2, 0), logic.X) // cycle 0, output 0 too: folds into ONE X
+	set.Set(0, g.CellIndex(1, 2), logic.X) // cycle 2, output 1
 	tr := MustModulo(4, 2)
-	known, xs, c := foldAll(t, tr, packOf(t, set), nil)
+	known, xs, c := foldAll(t, tr, set, nil)
 	if want := []uint64{1, 0, 2}; xs[0] != want[0] || xs[1] != want[1] || xs[2] != want[2] {
 		t.Fatalf("X words %v, want %v", xs, want)
 	}
@@ -174,15 +185,14 @@ func TestFoldCountsFoldedX(t *testing.T) {
 }
 
 // refFold is the per-value reference for FoldBlock: pattern by pattern it
-// folds a byte response into per-cycle words, skipping the cells masked
-// holds, and counts the masked X and known captures.
-func refFold(tr *XORTree, r scan.Response, masked gf2.Vec, known, xs []uint64, c *FoldCounts) {
-	g := r.Geom
+// folds a byte response of the geometry into per-cycle words, skipping the
+// cells masked holds, and counts the masked X and known captures.
+func refFold(tr *XORTree, g scan.Geometry, r logic.Vector, masked gf2.Vec, known, xs []uint64, c *FoldCounts) {
 	for ch := 0; ch < g.Chains; ch++ {
 		o := uint(tr.Group(ch))
 		for cyc := 0; cyc < g.ChainLen; cyc++ {
 			cell := ch*g.ChainLen + cyc
-			v := r.Values[cell]
+			v := r[cell]
 			if masked.Len() != 0 && masked.Get(cell) {
 				if v == logic.X {
 					c.MaskedX++
@@ -211,16 +221,10 @@ func TestFoldMatchesByteReference(t *testing.T) {
 		for _, chains := range []int{m, 2 * m, 2*m + 5, 3*m - 1} {
 			for _, n := range []int{1, 63, 64, 65, 129} {
 				g := scan.MustGeometry(chains, 1+r.Intn(6))
-				set := scan.NewResponseSet(g)
+				vals := make([]logic.Vector, n)
 				masks := make([]gf2.Vec, n)
 				for p := 0; p < n; p++ {
-					resp := scan.NewResponse(g)
-					for c := range resp.Values {
-						resp.Values[c] = logic.V(r.Intn(3))
-					}
-					if err := set.Append(resp); err != nil {
-						t.Fatal(err)
-					}
+					vals[p] = randomVector(r, g)
 					if p%3 != 1 {
 						masks[p] = gf2.NewVec(g.Cells())
 						for c := 0; c < g.Cells(); c++ {
@@ -238,12 +242,12 @@ func TestFoldMatchesByteReference(t *testing.T) {
 					return w
 				}
 				tr := MustModulo(chains, m)
-				known, xs, got := foldAll(t, tr, packOf(t, set), lanes)
+				known, xs, got := foldAll(t, tr, packOf(g, vals), lanes)
 				var want FoldCounts
-				for p, resp := range set.Responses {
+				for p, resp := range vals {
 					wk := make([]uint64, g.ChainLen)
 					wx := make([]uint64, g.ChainLen)
-					refFold(tr, resp, masks[p], wk, wx, &want)
+					refFold(tr, g, resp, masks[p], wk, wx, &want)
 					for cyc := range wk {
 						want.ResidualX += bits.OnesCount64(wx[cyc])
 						i := p*g.ChainLen + cyc
@@ -276,26 +280,20 @@ func TestFoldMatchesApply(t *testing.T) {
 		outputs := 1 + r.Intn(min(chains, 64))
 		g := scan.MustGeometry(chains, 1+r.Intn(20))
 		n := 1 + r.Intn(70)
-		set := scan.NewResponseSet(g)
+		vals := make([]logic.Vector, n)
 		var lanes []uint64
 		if trial%4 != 0 {
 			lanes = make([]uint64, g.Cells()*((n+63)/64))
 		}
-		masked := make([]scan.Response, n)
+		masked := make([]logic.Vector, n)
 		for p := 0; p < n; p++ {
-			resp := scan.NewResponse(g)
-			for c := range resp.Values {
-				resp.Values[c] = logic.V(r.Intn(3))
-			}
-			if err := set.Append(resp); err != nil {
-				t.Fatal(err)
-			}
-			masked[p] = resp.Clone()
+			vals[p] = randomVector(r, g)
+			masked[p] = vals[p].Clone()
 			if lanes != nil {
 				for c := 0; c < g.Cells(); c++ {
 					if r.Intn(5) == 0 {
 						lanes[p/64*g.Cells()+c] |= 1 << uint(p%64)
-						masked[p].Values[c] = logic.Zero
+						masked[p][c] = logic.Zero
 					}
 				}
 			}
@@ -305,10 +303,10 @@ func TestFoldMatchesApply(t *testing.T) {
 		if lanes != nil {
 			laneOf = func(b int) []uint64 { return lanes[b*g.Cells() : (b+1)*g.Cells()] }
 		}
-		known, xs, _ := foldAll(t, tr, packOf(t, set), laneOf)
+		known, xs, _ := foldAll(t, tr, packOf(g, vals), laneOf)
 		for p := 0; p < n; p++ {
 			for cyc := 0; cyc < g.ChainLen; cyc++ {
-				want, err := tr.Apply(masked[p].Slice(cyc))
+				want, err := tr.Apply(slice(g, masked[p], cyc))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -177,16 +177,6 @@ type VerifyReport struct {
 	Violation error
 }
 
-// VerifyResponses replays a response set held one byte per cell per
-// pattern: it packs the set and runs VerifyPacked.
-func VerifyResponses(prog *Program, set *scan.ResponseSet) (*VerifyReport, error) {
-	packed, err := set.Pack()
-	if err != nil {
-		return nil, err
-	}
-	return VerifyPacked(prog, packed)
-}
-
 // VerifyPacked replays the full response set through the program's hardware
 // models and holds the replay to the plan's accounting, setting
 // VerifyReport.Violation. The responses' geometry must match the program,

@@ -2,7 +2,6 @@ package flow
 
 import (
 	"context"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -66,7 +65,7 @@ func TestBuildProgram(t *testing.T) {
 	}
 }
 
-func TestVerifyResponses(t *testing.T) {
+func TestVerifyPacked(t *testing.T) {
 	geom, set, m := buildSetup(t)
 	prog, err := Build(m, params(geom), tester.Config{Channels: 8})
 	if err != nil {
@@ -75,10 +74,6 @@ func TestVerifyResponses(t *testing.T) {
 	rep, err := VerifyPacked(prog, set)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// A byte-per-cell set replays to the same report.
-	if bytes, err := VerifyResponses(prog, set.Unpack()); err != nil || !reflect.DeepEqual(bytes, rep) {
-		t.Fatalf("byte-set replay %+v (err %v), packed %+v", bytes, err, rep)
 	}
 	if rep.PatternsApplied != set.Patterns() {
 		t.Fatalf("applied %d of %d patterns", rep.PatternsApplied, set.Patterns())
@@ -217,27 +212,11 @@ func TestVerifyValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := scan.MustGeometry(8, 16)
-	if _, err := VerifyResponses(prog, scan.NewResponseSet(other)); err == nil {
+	if _, err := VerifyPacked(prog, scan.NewPackedResponses(other, set.Patterns())); err == nil {
 		t.Fatal("accepted mismatched geometry")
 	}
-	if _, err := VerifyPacked(prog, scan.NewPackedResponses(other, set.Patterns())); err == nil {
-		t.Fatal("accepted mismatched packed geometry")
-	}
-	short := scan.NewResponseSet(geom)
-	if err := short.Append(set.Unpack().Responses[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := VerifyResponses(prog, short); err == nil {
-		t.Fatal("accepted wrong pattern count")
-	}
 	if _, err := VerifyPacked(prog, scan.NewPackedResponses(geom, 1)); err == nil {
-		t.Fatal("accepted wrong packed pattern count")
-	}
-	// A response narrower than the geometry cannot be packed.
-	torn := set.Unpack()
-	torn.Responses[3].Values = torn.Responses[3].Values[:5]
-	if _, err := VerifyResponses(prog, torn); err == nil {
-		t.Fatal("accepted a torn response")
+		t.Fatal("accepted wrong pattern count")
 	}
 	// A pattern in two partitions would replay under only one mask.
 	overlap := *prog

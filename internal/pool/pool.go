@@ -1,8 +1,8 @@
 // Package pool provides a small reusable worker pool for deterministic
 // data-parallel fan-out. The hybrid pipeline's hot loops — candidate-split
-// scoring, per-partition masked-X recomputation, per-cell X counting,
-// per-partition X-canceling — are all independent per element, so they chunk
-// an index range over a fixed set of workers and reduce the per-chunk
+// scoring, per-partition masked-X recomputation, per-cell X counting, the
+// simulate and faultsim blocks — are all independent per element, so they
+// chunk an index range over a fixed set of workers and reduce the per-chunk
 // results in chunk order. Because every reduction is position-indexed (never
 // ordered by goroutine completion), results are byte-identical for any
 // worker count, including 1.

@@ -21,7 +21,7 @@ type PackedResponses struct {
 }
 
 // NewPackedResponses returns an all-Zero packed set of the given pattern
-// count, to be filled through Block.
+// count, to be filled through Block or Set.
 func NewPackedResponses(g Geometry, patterns int) *PackedResponses {
 	words := (patterns + 63) / 64 * g.Cells()
 	return &PackedResponses{Geom: g, patterns: patterns, one: make([]uint64, words), x: make([]uint64, words)}
@@ -44,52 +44,25 @@ func (s *PackedResponses) Block(b int) (one, x []uint64) {
 	return s.one[b*cells : (b+1)*cells], s.x[b*cells : (b+1)*cells]
 }
 
-// Pack packs the response set, 64 cells of one block at a time
-// (logic.PackLanes). A response of another geometry or width is an error.
-func (s *ResponseSet) Pack() (*PackedResponses, error) {
-	cells := s.Geom.Cells()
-	for p, r := range s.Responses {
-		if r.Geom != s.Geom || len(r.Values) != cells {
-			return nil, fmt.Errorf("scan: response %d is %d values of %v, set is %v", p, len(r.Values), r.Geom, s.Geom)
-		}
-	}
-	out := NewPackedResponses(s.Geom, len(s.Responses))
-	vecs := make([]logic.Vector, 0, 64)
-	var one, x [64]uint64
-	for b := 0; b < out.Blocks(); b++ {
-		vecs = vecs[:0]
-		for _, r := range s.Responses[64*b : 64*b+out.BlockPatterns(b)] {
-			vecs = append(vecs, r.Values)
-		}
-		bo, bx := out.Block(b)
-		for lo := 0; lo < cells; lo += 64 {
-			logic.PackLanes(vecs, lo, &one, &x)
-			copy(bo[lo:], one[:])
-			copy(bx[lo:], x[:])
-		}
-	}
-	return out, nil
+// At returns pattern p's value in cell. A p or cell out of range panics,
+// as Geometry.CellIndex does.
+func (s *PackedResponses) At(p, cell int) logic.V {
+	i, k := s.lane(p, cell)
+	return logic.V(s.one[i]>>k&1 | (s.x[i]>>k&1)<<1)
 }
 
-// Unpack returns the set one byte per cell per pattern (logic.UnpackLanes);
-// the responses are cut from one allocation.
-func (s *PackedResponses) Unpack() *ResponseSet {
-	cells := s.Geom.Cells()
-	slab := make(logic.Vector, s.patterns*cells)
-	set := &ResponseSet{Geom: s.Geom, Responses: make([]Response, s.patterns)}
-	vecs := make([]logic.Vector, s.patterns)
-	for p := range vecs {
-		vecs[p] = slab[p*cells : (p+1)*cells : (p+1)*cells]
-		set.Responses[p] = Response{Geom: s.Geom, Values: vecs[p]}
+// Set stores v as pattern p's value in cell, writing its lane bit in both
+// planes. A p or cell out of range panics.
+func (s *PackedResponses) Set(p, cell int, v logic.V) {
+	i, k := s.lane(p, cell)
+	s.one[i] = s.one[i]&^(1<<k) | uint64(v&1)<<k
+	s.x[i] = s.x[i]&^(1<<k) | uint64(v>>1&1)<<k
+}
+
+// lane returns the word index and lane of pattern p in cell.
+func (s *PackedResponses) lane(p, cell int) (int, uint) {
+	if p < 0 || p >= s.patterns || cell < 0 || cell >= s.Geom.Cells() {
+		panic(fmt.Sprintf("scan: pattern %d cell %d out of %d patterns x %d cells", p, cell, s.patterns, s.Geom.Cells()))
 	}
-	var one, x [64]uint64
-	for b := 0; b < s.Blocks(); b++ {
-		bo, bx := s.Block(b)
-		for lo := 0; lo < cells; lo += 64 {
-			copy(one[:], bo[lo:])
-			copy(x[:], bx[lo:])
-			logic.UnpackLanes(&one, &x, vecs[64*b:64*b+s.BlockPatterns(b)], lo)
-		}
-	}
-	return set
+	return p/64*s.Geom.Cells() + cell, uint(p % 64)
 }

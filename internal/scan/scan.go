@@ -8,10 +8,10 @@
 // presents the slice {(chain, t) : chain = 0..Chains-1} to the compactor.
 //
 // In the end-to-end flow (docs/FLOW.md) a Geometry is the contract every
-// stage shares: simulation captures are appended to a ResponseSet under
-// it, the X-map indexes cells by its chain-major flattening, the
-// partitioner prices mask images as Cells() bits, and the replay shifts
-// responses out by its unload schedule. Chains are equal-length by
+// stage shares: simulation captures fill a PackedResponses under it, the
+// X-map indexes cells by its chain-major flattening, the partitioner
+// prices mask images as Cells() bits, and the replay shifts responses out
+// by its unload schedule. Chains are equal-length by
 // construction (NewGeometry rejects anything else) — the paper's
 // control-bit accounting multiplies "longest scan chain length" by "number
 // of scan chains", which is exact only on rectangular geometries; see
@@ -19,11 +19,7 @@
 // §5.1 for the cell-indexing convention the X-map inherits.
 package scan
 
-import (
-	"fmt"
-
-	"xhybrid/internal/logic"
-)
+import "fmt"
 
 // Geometry describes a scan architecture with equal-length chains, as
 // assumed by the paper's control-bit accounting (the "longest scan chain
@@ -86,88 +82,4 @@ func (g Geometry) CellCoord(cell int) (chain, pos int) {
 // String renders the geometry as "chains x chainLen".
 func (g Geometry) String() string {
 	return fmt.Sprintf("%d chains x %d cells", g.Chains, g.ChainLen)
-}
-
-// Response is the captured output response of one test pattern: one
-// three-valued logic value per scan cell, addressed via the geometry.
-type Response struct {
-	Geom   Geometry
-	Values logic.Vector
-}
-
-// NewResponse returns an all-X response for the geometry.
-func NewResponse(g Geometry) Response {
-	return Response{Geom: g, Values: logic.NewVector(g.Cells())}
-}
-
-// At returns the value captured in cell (chain, pos).
-func (r Response) At(chain, pos int) logic.V {
-	return r.Values[r.Geom.CellIndex(chain, pos)]
-}
-
-// Set stores v in cell (chain, pos).
-func (r Response) Set(chain, pos int, v logic.V) {
-	r.Values[r.Geom.CellIndex(chain, pos)] = v
-}
-
-// Slice returns the values presented to the compactor at shift cycle t:
-// one value per chain, from position t of each chain.
-func (r Response) Slice(t int) logic.Vector {
-	out := make(logic.Vector, r.Geom.Chains)
-	for c := 0; c < r.Geom.Chains; c++ {
-		out[c] = r.Values[r.Geom.CellIndex(c, t)]
-	}
-	return out
-}
-
-// CountX returns the number of X values in the response.
-func (r Response) CountX() int { return r.Values.CountX() }
-
-// Clone returns a deep copy.
-func (r Response) Clone() Response {
-	return Response{Geom: r.Geom, Values: r.Values.Clone()}
-}
-
-// ResponseSet is the full set of captured responses for a pattern set.
-type ResponseSet struct {
-	Geom      Geometry
-	Responses []Response
-}
-
-// NewResponseSet allocates an empty response set.
-func NewResponseSet(g Geometry) *ResponseSet {
-	return &ResponseSet{Geom: g}
-}
-
-// Append adds a response, validating its geometry.
-func (s *ResponseSet) Append(r Response) error {
-	if r.Geom != s.Geom {
-		return fmt.Errorf("scan: response geometry %v does not match set %v", r.Geom, s.Geom)
-	}
-	if len(r.Values) != s.Geom.Cells() {
-		return fmt.Errorf("scan: response has %d values, want %d", len(r.Values), s.Geom.Cells())
-	}
-	s.Responses = append(s.Responses, r)
-	return nil
-}
-
-// Patterns returns the number of responses in the set.
-func (s *ResponseSet) Patterns() int { return len(s.Responses) }
-
-// TotalX returns the total number of X values across all responses.
-func (s *ResponseSet) TotalX() int {
-	n := 0
-	for _, r := range s.Responses {
-		n += r.CountX()
-	}
-	return n
-}
-
-// XDensity returns the fraction of response bits that are X.
-func (s *ResponseSet) XDensity() float64 {
-	total := s.Geom.Cells() * len(s.Responses)
-	if total == 0 {
-		return 0
-	}
-	return float64(s.TotalX()) / float64(total)
 }

@@ -1,7 +1,7 @@
 package scan
 
 import (
-	"math/rand"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -72,127 +72,64 @@ func TestCellIndexPanics(t *testing.T) {
 	}()
 }
 
-func TestResponseAtSetSlice(t *testing.T) {
-	g := MustGeometry(3, 4)
-	r := NewResponse(g)
-	if r.CountX() != 12 {
-		t.Fatalf("fresh response CountX = %d", r.CountX())
-	}
-	r.Set(1, 2, logic.One)
-	r.Set(2, 2, logic.Zero)
-	if r.At(1, 2) != logic.One || r.At(2, 2) != logic.Zero {
-		t.Fatal("At/Set mismatch")
-	}
-	sl := r.Slice(2)
-	want := logic.Vector{logic.X, logic.One, logic.Zero}
-	if !sl.Equal(want) {
-		t.Fatalf("Slice(2) = %v, want %v", sl, want)
-	}
-}
-
-func TestResponseCloneIndependent(t *testing.T) {
-	g := MustGeometry(2, 2)
-	r := NewResponse(g)
-	c := r.Clone()
-	c.Set(0, 0, logic.One)
-	if r.At(0, 0) == logic.One {
-		t.Fatal("Clone shares storage")
-	}
-}
-
-func TestResponseSet(t *testing.T) {
-	g := MustGeometry(2, 3)
-	s := NewResponseSet(g)
-	r1 := NewResponse(g)
-	for c := 0; c < 2; c++ {
-		for p := 0; p < 3; p++ {
-			r1.Set(c, p, logic.Zero)
-		}
-	}
-	r1.Set(0, 0, logic.X)
-	r2 := NewResponse(g) // all X
-	if err := s.Append(r1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(r2); err != nil {
-		t.Fatal(err)
-	}
-	if s.Patterns() != 2 {
-		t.Fatalf("Patterns = %d", s.Patterns())
-	}
-	if s.TotalX() != 7 {
-		t.Fatalf("TotalX = %d, want 7", s.TotalX())
-	}
-	if d := s.XDensity(); d < 0.58 || d > 0.59 {
-		t.Fatalf("XDensity = %f, want 7/12", d)
-	}
-	bad := NewResponse(MustGeometry(3, 3))
-	if err := s.Append(bad); err == nil {
-		t.Fatal("Append accepted mismatched geometry")
-	}
-}
-
-func TestEmptySetDensity(t *testing.T) {
-	s := NewResponseSet(MustGeometry(1, 1))
-	if s.XDensity() != 0 {
-		t.Fatal("empty set density must be 0")
-	}
-}
-
-// TestPackUnpackRoundTrip packs random response sets whose pattern counts
-// sit around the 64-pattern block edges and whose cell counts are not
-// multiples of 64, checks each word against the responses, including zero
-// lanes past the pattern count, and unpacks the set back.
-func TestPackUnpackRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
+// TestPackedAtSet writes Zero, One and X through Set at the lanes around
+// the 64-pattern block edges of a set whose cell count is not a multiple
+// of 64, reads each back through At, and checks that every other lane of
+// both planes is untouched; out-of-range patterns and cells panic.
+func TestPackedAtSet(t *testing.T) {
 	g := MustGeometry(7, 11)
-	for _, n := range []int{0, 1, 63, 64, 65, 129} {
-		set := NewResponseSet(g)
+	const n = 130
+	s := NewPackedResponses(g, n)
+	if s.Patterns() != n || s.Blocks() != 3 || s.BlockPatterns(2) != 2 {
+		t.Fatalf("%d patterns in %d blocks, last holds %d", s.Patterns(), s.Blocks(), s.BlockPatterns(2))
+	}
+	want := make([]logic.V, n*g.Cells()) // all Zero, like a fresh set
+	check := func(step string) {
+		t.Helper()
 		for p := 0; p < n; p++ {
-			resp := NewResponse(g)
-			for c := range resp.Values {
-				resp.Values[c] = logic.V(r.Intn(3))
-			}
-			if err := set.Append(resp); err != nil {
-				t.Fatal(err)
-			}
-		}
-		packed, err := set.Pack()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if packed.Patterns() != n || packed.Blocks() != (n+63)/64 {
-			t.Fatalf("%d patterns packed as %d in %d blocks", n, packed.Patterns(), packed.Blocks())
-		}
-		for b := 0; b < packed.Blocks(); b++ {
-			one, x := packed.Block(b)
 			for c := 0; c < g.Cells(); c++ {
-				for k := 0; k < 64; k++ {
-					var want logic.V
-					if p := 64*b + k; p < n {
-						want = set.Responses[p].Values[c]
-					} else if (one[c]|x[c])>>uint(k)&1 != 0 {
-						t.Fatalf("n=%d block %d cell %d: lane %d past the patterns is set", n, b, c, k)
-					}
-					if got := logic.V(one[c]>>uint(k)&1 | (x[c]>>uint(k)&1)<<1); got != want {
-						t.Fatalf("n=%d block %d cell %d lane %d: %v, want %v", n, b, c, k, got, want)
-					}
+				if got := s.At(p, c); got != want[p*g.Cells()+c] {
+					t.Fatalf("%s: pattern %d cell %d = %v, want %v", step, p, c, got, want[p*g.Cells()+c])
 				}
 			}
 		}
-		back := packed.Unpack()
-		if back.Geom != g || back.Patterns() != n {
-			t.Fatalf("unpacked %v with %d patterns", back.Geom, back.Patterns())
-		}
-		for p, resp := range back.Responses {
-			if resp.Geom != g || !resp.Values.Equal(set.Responses[p].Values) {
-				t.Fatalf("n=%d pattern %d unpacked as %v, want %v", n, p, resp.Values, set.Responses[p].Values)
+		for b := 0; b < s.Blocks(); b++ {
+			one, x := s.Block(b)
+			for c := range one {
+				if one[c]&x[c] != 0 {
+					t.Fatalf("%s: block %d cell %d is One and X in lanes %#x", step, b, c, one[c]&x[c])
+				}
+				if past := ^uint64(0) << uint(s.BlockPatterns(b)) & (one[c] | x[c]); past != 0 {
+					t.Fatalf("%s: block %d cell %d sets lanes %#x past the patterns", step, b, c, past)
+				}
 			}
 		}
 	}
-	torn := NewResponseSet(g)
-	torn.Responses = append(torn.Responses, Response{Geom: g, Values: make(logic.Vector, 3)})
-	if _, err := torn.Pack(); err == nil {
-		t.Fatal("packed a response narrower than the geometry")
+	for _, p := range []int{0, 1, 62, 63, 64, 65, 127, 128, 129} {
+		for _, c := range []int{0, 5, g.Cells() - 1} {
+			for _, v := range []logic.V{logic.X, logic.One, logic.Zero, logic.One, logic.X} {
+				s.Set(p, c, v)
+				want[p*g.Cells()+c] = v
+				check(fmt.Sprintf("Set(%d, %d, %v)", p, c, v))
+			}
+		}
+	}
+	for _, bad := range [][2]int{{-1, 0}, {n, 0}, {0, -1}, {0, g.Cells()}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("At(%d, %d) did not panic", bad[0], bad[1])
+				}
+			}()
+			s.At(bad[0], bad[1])
+		}()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Set(%d, %d) did not panic", bad[0], bad[1])
+				}
+			}()
+			s.Set(bad[0], bad[1], logic.One)
+		}()
 	}
 }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"xhybrid/internal/correlation"
@@ -128,30 +130,100 @@ func TestOverlapFractionSharesPatterns(t *testing.T) {
 	}
 }
 
-func xmapFrom(set *scan.ResponseSet) *xmap.XMap { return xmap.FromResponses(set) }
+// checkPlanes fails unless no lane of set is both One and X and every lane
+// at or past the pattern count is zero in both planes.
+func checkPlanes(t *testing.T, set *scan.PackedResponses) {
+	t.Helper()
+	for b := 0; b < set.Blocks(); b++ {
+		past := ^uint64(0) << uint(set.BlockPatterns(b))
+		one, x := set.Block(b)
+		for c := range one {
+			if one[c]&x[c] != 0 {
+				t.Fatalf("block %d cell %d: lanes %#x are both One and X", b, c, one[c]&x[c])
+			}
+			if (one[c]|x[c])&past != 0 {
+				t.Fatalf("block %d cell %d: lanes %#x past the %d patterns are set", b, c, (one[c]|x[c])&past, set.Patterns())
+			}
+		}
+	}
+}
 
+// samePlanes reports whether two packed sets hold the same words.
+func samePlanes(a, b *scan.PackedResponses) bool {
+	if a.Geom != b.Geom || a.Patterns() != b.Patterns() {
+		return false
+	}
+	for blk := 0; blk < a.Blocks(); blk++ {
+		ao, ax := a.Block(blk)
+		bo, bx := b.Block(blk)
+		if !slices.Equal(ao, bo) || !slices.Equal(ax, bx) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestResponsesFromXMap synthesizes responses from a scaled CKT-B map and
+// from small maps whose pattern counts sit at the 64-pattern block edges:
+// the X plane reads back as the map, no lane is both One and X or set past
+// the pattern count, and the seed fixes the known values.
 func TestResponsesFromXMap(t *testing.T) {
 	p := Scaled(CKTB(), 20)
-	m, err := p.Generate()
+	cktb, err := p.Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := ResponsesFromXMap(m, p.Geometry(), 3)
+	type fixture struct {
+		m *xmap.XMap
+		g scan.Geometry
+	}
+	fixtures := []fixture{{cktb, p.Geometry()}}
+	g := scan.MustGeometry(5, 13)
+	r := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 63, 64, 65} {
+		m := xmap.New(n, g.Cells())
+		for pat := 0; pat < n; pat++ {
+			for c := 0; c < g.Cells(); c++ {
+				if r.Intn(4) == 0 {
+					m.Add(pat, c)
+				}
+			}
+		}
+		fixtures = append(fixtures, fixture{m, g})
+	}
+	for _, fx := range fixtures {
+		set, err := ResponsesFromXMap(fx.m, fx.g, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if set.Patterns() != fx.m.Patterns() || set.Geom != fx.g {
+			t.Fatalf("%d patterns of %v, map has %d of %v", set.Patterns(), set.Geom, fx.m.Patterns(), fx.g)
+		}
+		if back := xmap.FromPacked(set); !back.Equal(fx.m) || back.TotalX() != fx.m.TotalX() {
+			t.Fatalf("%d patterns: %d X's read back, map has %d", fx.m.Patterns(), back.TotalX(), fx.m.TotalX())
+		}
+		checkPlanes(t, set)
+	}
+	// The known values are drawn, not left Zero, and a seed fixes them.
+	set, err := ResponsesFromXMap(cktb, p.Geometry(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if set.Patterns() != m.Patterns() {
-		t.Fatal("pattern count mismatch")
+	if one, _ := set.Block(0); !slices.ContainsFunc(one, func(w uint64) bool { return w != 0 }) {
+		t.Fatal("no known One in the first block")
 	}
-	if set.TotalX() != m.TotalX() {
-		t.Fatalf("responses carry %d X's, map has %d", set.TotalX(), m.TotalX())
+	again, err := ResponsesFromXMap(cktb, p.Geometry(), 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Round trip: deriving the X-map back gives the original.
-	if !xmapFrom(set).Equal(m) {
-		t.Fatal("X locations not preserved")
+	if !samePlanes(set, again) {
+		t.Fatal("the same seed gave different planes")
+	}
+	if other, err := ResponsesFromXMap(cktb, p.Geometry(), 4); err != nil || samePlanes(set, other) {
+		t.Fatalf("another seed gave the same planes (err %v)", err)
 	}
 	// Geometry mismatch errors.
-	if _, err := ResponsesFromXMap(m, scan.MustGeometry(1, 1), 3); err == nil {
+	if _, err := ResponsesFromXMap(cktb, scan.MustGeometry(1, 1), 3); err == nil {
 		t.Fatal("accepted mismatched geometry")
 	}
 }

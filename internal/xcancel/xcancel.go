@@ -383,13 +383,7 @@ func (c *Canceler) Known() uint64 { return c.sym.Known() }
 // (the scan geometry's chain count must equal the MISR size) and returns the
 // run summary. This is the end-to-end demonstration path; large designs use
 // the closed-form accounting instead.
-func RunResponses(cfg Config, s *scan.ResponseSet) (Result, error) {
-	return RunResponsesObs(cfg, s, nil)
-}
-
-// RunResponsesObs is RunResponses with the session's halt/deficit/
-// signature counters and wall time recorded on rec (nil disables).
-func RunResponsesObs(cfg Config, s *scan.ResponseSet, rec *obs.Recorder) (Result, error) {
+func RunResponses(cfg Config, s *scan.PackedResponses) (Result, error) {
 	if s.Geom.Chains != cfg.MISR.Size {
 		return Result{}, fmt.Errorf("xcancel: %d chains but %d-input MISR", s.Geom.Chains, cfg.MISR.Size)
 	}
@@ -397,22 +391,16 @@ func RunResponsesObs(cfg Config, s *scan.ResponseSet, rec *obs.Recorder) (Result
 	if err != nil {
 		return Result{}, err
 	}
-	c.Observe(rec)
-	defer rec.Span("xcancel.run")()
 	// The chains feed the MISR inputs directly: an identity compactor.
 	tree, err := compactor.NewModulo(cfg.MISR.Size, cfg.MISR.Size)
 	if err != nil {
 		return Result{}, err
 	}
-	packed, err := s.Pack()
-	if err != nil {
-		return Result{}, err
-	}
-	known := make([]uint64, packed.Patterns()*s.Geom.ChainLen)
+	known := make([]uint64, s.Patterns()*s.Geom.ChainLen)
 	xs := make([]uint64, len(known))
 	var counts compactor.FoldCounts
-	for b := 0; b < packed.Blocks(); b++ {
-		if err := tree.FoldBlock(packed, b, nil, known, xs, &counts); err != nil {
+	for b := 0; b < s.Blocks(); b++ {
+		if err := tree.FoldBlock(s, b, nil, known, xs, &counts); err != nil {
 			return Result{}, err
 		}
 	}

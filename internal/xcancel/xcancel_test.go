@@ -2,6 +2,7 @@ package xcancel
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -186,29 +187,36 @@ func TestNormalizedTestTimePaperValues(t *testing.T) {
 	}
 }
 
-// randomResponses builds a response set with the given X probability.
-func randomResponses(r *rand.Rand, chains, chainLen, patterns int, xProb float64) *scan.ResponseSet {
+// randomResponses builds a response set with the given X probability,
+// drawing pattern by pattern, chain by chain, position by position.
+func randomResponses(r *rand.Rand, chains, chainLen, patterns int, xProb float64) *scan.PackedResponses {
 	g := scan.MustGeometry(chains, chainLen)
-	s := scan.NewResponseSet(g)
+	s := scan.NewPackedResponses(g, patterns)
 	for p := 0; p < patterns; p++ {
-		resp := scan.NewResponse(g)
 		for c := 0; c < chains; c++ {
 			for t := 0; t < chainLen; t++ {
 				switch {
 				case r.Float64() < xProb:
-					resp.Set(c, t, logic.X)
+					s.Set(p, g.CellIndex(c, t), logic.X)
 				case r.Intn(2) == 1:
-					resp.Set(c, t, logic.One)
-				default:
-					resp.Set(c, t, logic.Zero)
+					s.Set(p, g.CellIndex(c, t), logic.One)
 				}
 			}
 		}
-		if err := s.Append(resp); err != nil {
-			panic(err)
-		}
 	}
 	return s
+}
+
+// totalX counts the set's X captures.
+func totalX(s *scan.PackedResponses) int {
+	n := 0
+	for b := 0; b < s.Blocks(); b++ {
+		_, x := s.Block(b)
+		for _, w := range x {
+			n += bits.OnesCount64(w)
+		}
+	}
+	return n
 }
 
 func TestCancelerEndToEnd(t *testing.T) {
@@ -218,8 +226,8 @@ func TestCancelerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TotalX != set.TotalX() {
-		t.Fatalf("TotalX = %d, want %d", res.TotalX, set.TotalX())
+	if res.TotalX != totalX(set) {
+		t.Fatalf("TotalX = %d, want %d", res.TotalX, totalX(set))
 	}
 	if res.ShiftCycles != 6*20 {
 		t.Fatalf("ShiftCycles = %d, want 120", res.ShiftCycles)
@@ -268,20 +276,14 @@ func TestErrorDetectionImprovesWithQ(t *testing.T) {
 		for ch := 0; ch < set.Geom.Chains; ch++ {
 			for pos := 0; pos < set.Geom.ChainLen; pos += 3 {
 				for pi := 0; pi < set.Patterns(); pi += 2 {
-					if set.Responses[pi].At(ch, pos) == logic.X {
+					cell := set.Geom.CellIndex(ch, pos)
+					v := set.At(pi, cell)
+					if v == logic.X {
 						continue
 					}
-					faulty := scan.NewResponseSet(set.Geom)
-					for i, resp := range set.Responses {
-						c := resp.Clone()
-						if i == pi {
-							c.Set(ch, pos, logic.Not(c.At(ch, pos)))
-						}
-						if err := faulty.Append(c); err != nil {
-							t.Fatal(err)
-						}
-					}
-					res2, err := RunResponses(cfg(10, q), faulty)
+					set.Set(pi, cell, logic.Not(v))
+					res2, err := RunResponses(cfg(10, q), set)
+					set.Set(pi, cell, v)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -332,30 +334,18 @@ func signaturesDiffer(a, b Result) bool {
 // (the MISR update is nonsingular).
 func TestFinalSignatureCatchesTailErrors(t *testing.T) {
 	g := scan.MustGeometry(8, 10)
-	build := func(flip bool) *scan.ResponseSet {
-		s := scan.NewResponseSet(g)
-		// Pattern 0 carries X's (forces a halt); pattern 1 is X-free.
-		r0 := scan.NewResponse(g)
-		for c := 0; c < 8; c++ {
-			for p := 0; p < 10; p++ {
-				r0.Set(c, p, logic.Zero)
-			}
-		}
+	build := func(flip bool) *scan.PackedResponses {
+		// Both patterns capture Zero everywhere but at position 0: pattern
+		// 0 carries X's there (forces a halt), pattern 1 is X-free.
+		s := scan.NewPackedResponses(g, 2)
 		for i := 0; i < 6; i++ {
-			r0.Set(i, 0, logic.X)
+			s.Set(0, g.CellIndex(i, 0), logic.X)
 		}
-		r1 := r0.Clone()
 		for c := 0; c < 8; c++ {
-			r1.Set(c, 0, logic.One) // clear the X row with known values
+			s.Set(1, g.CellIndex(c, 0), logic.One) // clear the X row with known values
 		}
 		if flip {
-			r1.Set(3, 9, logic.One) // tail error after the last halt
-		}
-		if err := s.Append(r0); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Append(r1); err != nil {
-			t.Fatal(err)
+			s.Set(1, g.CellIndex(3, 9), logic.One) // tail error after the last halt
 		}
 		return s
 	}
@@ -422,24 +412,18 @@ func TestRegisterResetsAtHalt(t *testing.T) {
 func TestXValueIndependence(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	g := scan.MustGeometry(8, 12)
-	build := func(xAs logic.V) *scan.ResponseSet {
+	build := func(xAs logic.V) *scan.PackedResponses {
 		rr := rand.New(rand.NewSource(77)) // same known values both times
-		s := scan.NewResponseSet(g)
+		s := scan.NewPackedResponses(g, 4)
 		for p := 0; p < 4; p++ {
-			resp := scan.NewResponse(g)
 			for c := 0; c < 8; c++ {
 				for t := 0; t < 12; t++ {
 					if rr.Float64() < 0.05 {
-						resp.Set(c, t, logic.X)
+						s.Set(p, g.CellIndex(c, t), logic.X)
 					} else if rr.Intn(2) == 1 {
-						resp.Set(c, t, logic.One)
-					} else {
-						resp.Set(c, t, logic.Zero)
+						s.Set(p, g.CellIndex(c, t), logic.One)
 					}
 				}
-			}
-			if err := s.Append(resp); err != nil {
-				panic(err)
 			}
 		}
 		return s
@@ -538,7 +522,7 @@ func TestShiftWidthErrorTable(t *testing.T) {
 }
 
 func TestRunResponsesGeometryError(t *testing.T) {
-	set := scan.NewResponseSet(scan.MustGeometry(4, 4))
+	set := scan.NewPackedResponses(scan.MustGeometry(4, 4), 0)
 	if _, err := RunResponses(cfg(6, 2), set); err == nil {
 		t.Fatal("accepted chains != m")
 	}
@@ -561,7 +545,7 @@ func TestRunResponsesGeometryTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			set := scan.NewResponseSet(scan.MustGeometry(tc.chains, 3))
+			set := scan.NewPackedResponses(scan.MustGeometry(tc.chains, 3), 0)
 			_, err := RunResponses(cfg(m, 2), set)
 			if tc.ok {
 				if err != nil {

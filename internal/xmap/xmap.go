@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 
 	"xhybrid/internal/gf2"
-	"xhybrid/internal/logic"
 	"xhybrid/internal/scan"
 )
 
@@ -61,19 +60,6 @@ func New(numPatterns, numCells int) *XMap {
 		numCells:    numCells,
 		slot:        make(map[int]int),
 	}
-}
-
-// FromResponses builds an XMap from a captured response set.
-func FromResponses(s *scan.ResponseSet) *XMap {
-	m := New(s.Patterns(), s.Geom.Cells())
-	for p, r := range s.Responses {
-		for cell, v := range r.Values {
-			if v == logic.X {
-				m.Add(p, cell)
-			}
-		}
-	}
-	return m
 }
 
 // FromPacked builds an XMap from a packed response set: word b of a cell's
@@ -140,11 +126,11 @@ func (m *XMap) TryAdd(p, cell int) bool {
 // appendCell adds a fresh CellX entry at the end of cells. Keeping the
 // slice sorted on every insert (the previous design) rebuilt the slot map
 // for the whole suffix per new cell — O(n) per insert, O(n^2) to load a
-// map in descending cell order, which dominated large FromResponses
-// builds. Instead the entry is appended in O(1) and the ascending order
-// that XCells and friends promise is restored once, on the next sorted
-// read (ensureSorted). In-order builds never mark the map unsorted and
-// never pay for a sort.
+// map in descending cell order, which dominated large per-value builds.
+// Instead the entry is appended in O(1) and the ascending order that
+// XCells and friends promise is restored once, on the next sorted read
+// (ensureSorted). In-order builds never mark the map unsorted and never
+// pay for a sort.
 func (m *XMap) appendCell(cell int) int {
 	i := len(m.cells)
 	m.cells = append(m.cells, CellX{Cell: cell, Patterns: gf2.NewVec(m.numPatterns)})

@@ -125,32 +125,6 @@ func TestDensity(t *testing.T) {
 	}
 }
 
-func TestFromResponses(t *testing.T) {
-	g := scan.MustGeometry(2, 3)
-	s := scan.NewResponseSet(g)
-	r := scan.NewResponse(g) // all-X
-	for c := 0; c < 2; c++ {
-		for p := 0; p < 3; p++ {
-			r.Set(c, p, logic.Zero)
-		}
-	}
-	r.Set(0, 1, logic.X)
-	r.Set(1, 2, logic.X)
-	if err := s.Append(r); err != nil {
-		t.Fatal(err)
-	}
-	m := FromResponses(s)
-	if m.Patterns() != 1 || m.Cells() != 6 {
-		t.Fatalf("dims %dx%d", m.Patterns(), m.Cells())
-	}
-	if m.TotalX() != 2 {
-		t.Fatalf("TotalX = %d", m.TotalX())
-	}
-	if !m.Has(0, g.CellIndex(0, 1)) || !m.Has(0, g.CellIndex(1, 2)) {
-		t.Fatal("X locations wrong")
-	}
-}
-
 // TestEqual pins the oracle the binio and fuzz round-trip tests compare
 // with: equal X sets of equal dimensions are Equal, whatever the insertion
 // order; one extra X or a different dimension is not.
@@ -363,36 +337,29 @@ func TestSetCellPatterns(t *testing.T) {
 }
 
 // TestFromPackedMatchesFromResponses: the X-map read from a packed set's X
-// words equals the one FromResponses builds from the same responses a byte
-// per cell, canonical encoding included, for pattern counts around the
+// words equals the one built value by value with Add from the same
+// responses, canonical encoding included, for pattern counts around the
 // 64-pattern block edges and X densities from none to dense.
 func TestFromPackedMatchesFromResponses(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	g := scan.MustGeometry(5, 13)
 	for _, n := range []int{1, 63, 64, 65, 129} {
 		for _, xProb := range []float64{0, 0.02, 0.5} {
-			set := scan.NewResponseSet(g)
+			packed := scan.NewPackedResponses(g, n)
+			want := New(n, g.Cells())
 			for p := 0; p < n; p++ {
-				resp := scan.NewResponse(g)
-				for c := range resp.Values {
-					switch {
-					case r.Float64() < xProb:
-						resp.Values[c] = logic.X
-					default:
-						resp.Values[c] = logic.V(r.Intn(2))
+				for c := 0; c < g.Cells(); c++ {
+					v := logic.V(r.Intn(2))
+					if r.Float64() < xProb {
+						v = logic.X
+						want.Add(p, c)
 					}
-				}
-				if err := set.Append(resp); err != nil {
-					t.Fatal(err)
+					packed.Set(p, c, v)
 				}
 			}
-			packed, err := set.Pack()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, want := FromPacked(packed), FromResponses(set)
+			got := FromPacked(packed)
 			if !got.Equal(want) || got.TotalX() != want.TotalX() {
-				t.Fatalf("n=%d xProb=%g: packed map (%d X's) differs from the byte map (%d X's)", n, xProb, got.TotalX(), want.TotalX())
+				t.Fatalf("n=%d xProb=%g: packed map (%d X's) differs from the per-value map (%d X's)", n, xProb, got.TotalX(), want.TotalX())
 			}
 			var a, b bytes.Buffer
 			if err := WriteBinary(&a, got, g.Chains, g.ChainLen); err != nil {

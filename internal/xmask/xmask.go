@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"xhybrid/internal/gf2"
-	"xhybrid/internal/logic"
 	"xhybrid/internal/scan"
 	"xhybrid/internal/xmap"
 )
@@ -43,17 +42,6 @@ func (m Mask) ControlBits() int { return m.Cells.Len() }
 
 // Masks reports whether cell is masked.
 func (m Mask) Masks(cell int) bool { return m.Cells.Get(cell) }
-
-// Apply returns a copy of the response with every masked cell forced to 0
-// (the AND-gate output for a mask bit of 0 in Figure 1).
-func (m Mask) Apply(r scan.Response) scan.Response {
-	if r.Geom.Cells() != m.Cells.Len() {
-		panic(fmt.Sprintf("xmask: mask width %d vs %d cells", m.Cells.Len(), r.Geom.Cells()))
-	}
-	out := r.Clone()
-	m.Cells.ForEach(func(c int) { out.Values[c] = logic.Zero })
-	return out
-}
 
 // PartitionMask synthesizes the shared mask for the patterns selected by
 // part: a cell is masked iff it captures X under *every* pattern in the

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"xhybrid/internal/gf2"
-	"xhybrid/internal/logic"
 	"xhybrid/internal/scan"
 	"xhybrid/internal/xmap"
 )
@@ -119,36 +118,6 @@ func TestThresholdMaskLossAccounting(t *testing.T) {
 	if !tm.Cells.Equal(sm.Cells) || tx != sx || tl != 0 {
 		t.Fatal("frac=1.0 threshold mask differs from safe partition mask")
 	}
-}
-
-func TestApply(t *testing.T) {
-	g := scan.MustGeometry(2, 2)
-	r := scan.NewResponse(g)
-	r.Set(0, 0, logic.One)
-	r.Set(0, 1, logic.X)
-	r.Set(1, 0, logic.Zero)
-	r.Set(1, 1, logic.X)
-	mask := NewMask(4)
-	mask.Cells.Set(g.CellIndex(0, 1))
-	out := mask.Apply(r)
-	if out.At(0, 1) != logic.Zero {
-		t.Fatal("masked cell not forced to 0")
-	}
-	if out.At(0, 0) != logic.One || out.At(1, 1) != logic.X {
-		t.Fatal("unmasked cells altered")
-	}
-	if r.At(0, 1) != logic.X {
-		t.Fatal("Apply mutated its input")
-	}
-}
-
-func TestApplyWidthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewMask(3).Apply(scan.NewResponse(scan.MustGeometry(2, 2)))
 }
 
 func TestConventionalPerPattern(t *testing.T) {

@@ -22,6 +22,11 @@ type ReplayReport struct {
 	// Halts and Signatures summarize the canceling sessions.
 	Halts      int
 	Signatures int
+	// Deficits counts the X-free combinations the halts should have
+	// delivered (q each) and did not: a halt after a shift cycle that
+	// brings more than m-q X's can leave fewer than q. The verdict does not
+	// read it.
+	Deficits int
 	// NormalizedTime is the measured shift+halt time over shift time.
 	NormalizedTime float64
 	// ScheduleCycles is the full ATE schedule including mask loads.
@@ -36,7 +41,7 @@ type ReplayReport struct {
 // ReplayCheck builds the tester program for the X locations and replays
 // synthesized responses (known values pseudo-random from seed, X's exactly
 // as mapped) through the hardware models. It is meant for scaled designs:
-// every synthesized response is held in memory, one byte per cell per
+// every synthesized response is held in memory, two bits per cell per
 // pattern.
 func ReplayCheck(x *XLocations, opt Options, seed int64) (*ReplayReport, error) {
 	params, err := opt.params(x.geom)
@@ -61,7 +66,7 @@ func ReplayCheck(x *XLocations, opt Options, seed int64) (*ReplayReport, error) 
 		return nil, err
 	}
 	endReplay := opt.Stats.Span("flow.replay")
-	rep, err := flow.VerifyResponses(prog, set)
+	rep, err := flow.VerifyPacked(prog, set)
 	endReplay()
 	if err != nil {
 		return nil, err
@@ -72,6 +77,7 @@ func ReplayCheck(x *XLocations, opt Options, seed int64) (*ReplayReport, error) 
 		ResidualX:        rep.ResidualX,
 		Halts:            rep.Halts,
 		Signatures:       rep.Signatures,
+		Deficits:         rep.Deficits,
 		NormalizedTime:   rep.NormalizedTime,
 		ScheduleCycles:   prog.Schedule.TotalCycles,
 		Violation:        rep.Violation,

@@ -1,6 +1,13 @@
 package xhybrid
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"xhybrid/internal/flow"
+	"xhybrid/internal/tester"
+	"xhybrid/internal/workload"
+)
 
 func TestReplayCheckPaperExample(t *testing.T) {
 	x := PaperExample()
@@ -72,5 +79,58 @@ func TestReplayCheckRejectsWideMISR(t *testing.T) {
 	}
 	if _, err := ReplayCheck(x, Options{MISRSize: 5, Q: 9}, 1); err == nil {
 		t.Fatal("accepted q >= m")
+	}
+}
+
+// TestReplayCheckCarriesDeficits replays a map in which every pattern
+// captures X in all 8 chains at one shift cycle, more than the m-q = 6 a
+// halt can cancel with q = 2 combinations left over. No split pays for its
+// mask, so every burst reaches the MISR, and the report must carry the
+// deficits that the flow replay of the same program counts.
+func TestReplayCheckCarriesDeficits(t *testing.T) {
+	rows := make([]string, 16)
+	for p := range rows {
+		r := []byte(strings.Repeat("0", 64))
+		for c := 0; c < 8; c++ {
+			r[c*8+p%8] = 'x'
+		}
+		rows[p] = string(r)
+	}
+	x, err := FromPatternRows(8, 8, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{MISRSize: 8, Q: 2}
+	rep, err := ReplayCheck(x, opt, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, err := opt.params(x.geom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := flow.Build(x.m, params, tester.Config{Channels: 8, OverlapMaskLoad: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := workload.ResponsesFromXMap(x.m, x.geom, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := flow.VerifyPacked(prog, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.MaskedX != 0 {
+		t.Fatalf("masks removed %d X's; the bursts must reach the MISR", rep.MaskedX)
+	}
+	if rep.Deficits == 0 || rep.Deficits != want.Deficits {
+		t.Fatalf("ReplayCheck reports %d deficits, flow replay %d; want the same, above 0", rep.Deficits, want.Deficits)
+	}
+	if rep.Halts != want.Halts || rep.ResidualX != want.ResidualX {
+		t.Fatalf("ReplayCheck %+v, flow replay %+v", rep, want)
+	}
+	if rep.Violation != nil {
+		t.Fatalf("replay verdict: %v", rep.Violation)
 	}
 }

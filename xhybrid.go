@@ -104,11 +104,6 @@ func FromPatternRows(chains, chainLen int, rows []string) (*XLocations, error) {
 	return x, nil
 }
 
-// FromResponses derives the X locations from fully simulated responses.
-func FromResponses(s *scan.ResponseSet) *XLocations {
-	return &XLocations{geom: s.Geom, m: xmap.FromResponses(s)}
-}
-
 // Chains returns the scan-chain count.
 func (x *XLocations) Chains() int { return x.geom.Chains }
 
